@@ -1,11 +1,40 @@
 #include "gpusim/cache.hpp"
 
 #include <algorithm>
+#include <bit>
 
 namespace cumf::gpusim {
 
 namespace {
 bool is_pow2(std::int64_t x) noexcept { return x > 0 && (x & (x - 1)) == 0; }
+
+/// Presents `tag` to the `ways` ways of one set at time `clock`: a hit
+/// refreshes its stamp, a miss replaces the lowest-index way holding the
+/// smallest stamp. Returns true on hit. Tags are unique within a set, so
+/// neither scan needs an early exit or a data-dependent branch.
+[[gnu::always_inline]] inline bool touch_set(std::uint64_t* tags,
+                                             std::uint64_t* stamps, int ways,
+                                             std::uint64_t tag,
+                                             std::uint64_t clock) noexcept {
+  int hit = ways;
+  for (int w = 0; w < ways; ++w) {
+    hit = tags[w] == tag ? w : hit;
+  }
+  if (hit < ways) {
+    stamps[hit] = clock;
+    return true;
+  }
+  int victim = 0;
+  std::uint64_t oldest = stamps[0];
+  for (int w = 1; w < ways; ++w) {
+    const bool older = stamps[w] < oldest;
+    oldest = older ? stamps[w] : oldest;
+    victim = older ? w : victim;
+  }
+  tags[victim] = tag;
+  stamps[victim] = clock;
+  return false;
+}
 }  // namespace
 
 CacheLevel::CacheLevel(const CacheConfig& config) : config_(config) {
@@ -17,36 +46,51 @@ CacheLevel::CacheLevel(const CacheConfig& config) : config_(config) {
   sets_ = config_.size_bytes / (static_cast<std::int64_t>(config_.line_bytes) *
                                 config_.ways);
   CUMF_EXPECTS(sets_ > 0, "cache smaller than one set");
+  CUMF_EXPECTS(sets_ <= std::int64_t{0xFFFFFFFF}, "too many cache sets");
+  line_shift_ = std::countr_zero(static_cast<unsigned>(config_.line_bytes));
+  set_magic_ = ~std::uint64_t{0} / static_cast<std::uint64_t>(sets_) + 1;
   tags_.assign(static_cast<std::size_t>(sets_) * config_.ways, 0);
   stamps_.assign(tags_.size(), 0);
 }
 
+std::uint64_t CacheLevel::set_of(std::uint64_t line) const noexcept {
+  const auto sets = static_cast<std::uint64_t>(sets_);
+  if (line >> 32 != 0) {
+    return line % sets;
+  }
+  // Lemire, Kaser & Kurz, "Faster remainder by direct computation" (2019):
+  // for 32-bit line and sets, the low word of magic·line is the fraction
+  // line/sets, and that fraction times sets has the remainder as its high
+  // word.
+  return static_cast<std::uint64_t>(
+      (static_cast<unsigned __int128>(set_magic_ * line) * sets) >> 64);
+}
+
 bool CacheLevel::access(std::uint64_t address) {
-  const std::uint64_t line =
-      address / static_cast<std::uint64_t>(config_.line_bytes);
-  const std::uint64_t set = line % static_cast<std::uint64_t>(sets_);
+  const std::uint64_t line = address >> line_shift_;
   const std::uint64_t tag = line + 1;  // +1 so tag 0 means "invalid"
-  const std::size_t base = static_cast<std::size_t>(set) *
+  const std::size_t base = static_cast<std::size_t>(set_of(line)) *
                            static_cast<std::size_t>(config_.ways);
+  std::uint64_t* const tags = tags_.data() + base;
+  std::uint64_t* const stamps = stamps_.data() + base;
   ++clock_;
 
-  int victim = 0;
-  std::uint64_t oldest = ~std::uint64_t{0};
-  for (int w = 0; w < config_.ways; ++w) {
-    if (tags_[base + w] == tag) {
-      stamps_[base + w] = clock_;
-      ++hits_;
-      return true;
-    }
-    if (stamps_[base + w] < oldest) {
-      oldest = stamps_[base + w];
-      victim = w;
-    }
+  // The trace simulation's L1 is 8-way and its L2 16-way; constant way
+  // counts let the compiler unroll and vectorize the scans.
+  bool hit = false;
+  switch (config_.ways) {
+    case 8:
+      hit = touch_set(tags, stamps, 8, tag, clock_);
+      break;
+    case 16:
+      hit = touch_set(tags, stamps, 16, tag, clock_);
+      break;
+    default:
+      hit = touch_set(tags, stamps, config_.ways, tag, clock_);
+      break;
   }
-  tags_[base + victim] = tag;
-  stamps_[base + victim] = clock_;
-  ++misses_;
-  return false;
+  ++(hit ? hits_ : misses_);
+  return hit;
 }
 
 void CacheLevel::flush() {

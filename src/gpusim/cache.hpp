@@ -27,7 +27,8 @@ class CacheLevel {
   explicit CacheLevel(const CacheConfig& config);
 
   /// Presents one line-aligned address; returns true on hit. Misses insert
-  /// the line (allocate-on-miss) and evict the LRU way.
+  /// the line (allocate-on-miss) and evict the LRU way: the lowest-index way
+  /// with the smallest stamp, so invalid ways fill first, in order.
   bool access(std::uint64_t address);
 
   void flush();
@@ -39,8 +40,14 @@ class CacheLevel {
   double hit_rate() const noexcept;
 
  private:
+  /// line % sets_, exact for every line.
+  std::uint64_t set_of(std::uint64_t line) const noexcept;
+
   CacheConfig config_;
   std::int64_t sets_ = 0;
+  int line_shift_ = 0;
+  /// ceil(2^64 / sets_) mod 2^64, the reciprocal set_of uses below 2^32.
+  std::uint64_t set_magic_ = 0;
   // tags_[set * ways + way]; stamp 0 == invalid.
   std::vector<std::uint64_t> tags_;
   std::vector<std::uint64_t> stamps_;

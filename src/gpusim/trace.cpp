@@ -1,6 +1,7 @@
 #include "gpusim/trace.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/check.hpp"
 
@@ -8,100 +9,193 @@ namespace cumf::gpusim {
 
 namespace {
 
-/// Collects the distinct lines covering byte range [begin, end).
-void add_range_lines(std::uint64_t begin, std::uint64_t end, int line_bytes,
-                     std::vector<std::uint64_t>& out) {
-  const auto lb = static_cast<std::uint64_t>(line_bytes);
-  for (std::uint64_t line = begin / lb; line <= (end - 1) / lb; ++line) {
-    out.push_back(line * lb);
+/// Yields one thread-block's load-phase instructions one at a time into a
+/// buffer of at most warp_size lines. hermitian_load_trace collects them and
+/// simulate_hermitian_load streams them, so the address arithmetic of both
+/// schemes lives here alone and a simulation holds O(resident blocks) of
+/// trace state, not O(trace).
+class LoadTraceGen {
+ public:
+  LoadTraceGen(const DeviceSpec& dev, const TraceConfig& config,
+               std::span<const index_t> cols)
+      : config_(config),
+        cols_(cols),
+        warp_(dev.warp_size),
+        f_(static_cast<std::uint64_t>(config.f)),
+        col_bytes_(f_ * sizeof(real_t)) {
+    CUMF_EXPECTS(config.f > 0 && config.bin > 0, "f and BIN must be positive");
+    CUMF_EXPECTS(dev.warp_size > 0 &&
+                     config.threads_per_block % dev.warp_size == 0,
+                 "block must be whole warps");
+    CUMF_EXPECTS(std::has_single_bit(
+                     static_cast<unsigned>(dev.cache_line_bytes)),
+                 "cache line must be a power of 2");
+    line_shift_ =
+        std::countr_zero(static_cast<unsigned>(dev.cache_line_bytes));
+    lines_.reserve(static_cast<std::size_t>(warp_) + 1);
+    if (!config.coalesced) {
+      lanes_.resize(static_cast<std::size_t>(config.threads_per_block));
+      start_batch();
+    }
   }
-}
+
+  /// Fills lines() with the next instruction's distinct lines, ascending;
+  /// false once the block's stream is exhausted.
+  bool next() {
+    return config_.coalesced ? next_coalesced() : next_scattered();
+  }
+
+  std::span<const std::uint64_t> lines() const noexcept { return lines_; }
+
+ private:
+  /// Where thread t of scheme (b) reads for a given batch width: column
+  /// t % width of the batch, from element (t / width % segments) * seg_len.
+  struct LaneMap {
+    std::size_t col;
+    std::uint64_t elem;
+  };
+  /// One thread of scheme (b) at the current batch: the byte address of its
+  /// first element and how many element steps stay inside the column.
+  struct Lane {
+    std::uint64_t addr;
+    std::uint64_t steps;
+  };
+
+  std::uint64_t col_base(index_t v) const noexcept {
+    return config_.theta_base + static_cast<std::uint64_t>(v) * col_bytes_;
+  }
+  std::uint64_t line_of(std::uint64_t addr) const noexcept {
+    return addr >> line_shift_ << line_shift_;
+  }
+
+  // Scheme (a): all threads cooperate on one column before the next, so the
+  // batching is invisible; each instruction covers warp_size consecutive
+  // floats of the current column.
+  bool next_coalesced() {
+    if (col_ >= cols_.size()) {
+      return false;
+    }
+    const std::uint64_t step =
+        static_cast<std::uint64_t>(warp_) * sizeof(real_t);
+    const std::uint64_t base = col_base(cols_[col_]);
+    const std::uint64_t end = std::min(col_bytes_, off_ + step);
+    lines_.clear();
+    for (std::uint64_t a = line_of(base + off_); a <= base + end - 1;
+         a += std::uint64_t{1} << line_shift_) {
+      lines_.push_back(a);
+    }
+    off_ += step;
+    if (off_ >= col_bytes_) {
+      off_ = 0;
+      ++col_;
+    }
+    return true;
+  }
+
+  // Scheme (b): each thread owns one column of the batch (threads beyond the
+  // batch width share columns by splitting the element range). At element
+  // step e thread t reads element (t / width % segments) * seg_len + e of
+  // column batch[t % width]; one instruction touches up to warp_size lines.
+  bool next_scattered() {
+    const auto warps =
+        static_cast<std::size_t>(config_.threads_per_block / warp_);
+    while (batch_ < cols_.size()) {
+      while (e_ < seg_len_) {
+        const std::size_t w = w_++;
+        const std::uint64_t e = e_;
+        if (w_ == warps) {
+          w_ = 0;
+          ++e_;
+        }
+        // Lanes are sorted by address, so the lines come out ascending and
+        // duplicates are adjacent.
+        lines_.clear();
+        const auto warp = static_cast<std::size_t>(warp_);
+        const auto lanes = std::span(lanes_).subspan(w * warp, warp);
+        for (const Lane& lane : lanes) {
+          if (e < lane.steps) {
+            const std::uint64_t line = line_of(lane.addr + e * sizeof(real_t));
+            if (lines_.empty() || lines_.back() != line) {
+              lines_.push_back(line);
+            }
+          }
+        }
+        if (!lines_.empty()) {
+          return true;
+        }
+      }
+      batch_ += static_cast<std::size_t>(config_.bin);
+      start_batch();
+    }
+    return false;
+  }
+
+  /// Lays out the lanes of the batch starting at batch_. The thread →
+  /// (column, element offset) map depends only on the batch width, so it is
+  /// rebuilt only when the width changes (once more, for a short last batch).
+  void start_batch() {
+    e_ = 0;
+    w_ = 0;
+    if (batch_ >= cols_.size()) {
+      return;
+    }
+    const std::size_t width =
+        std::min(cols_.size() - batch_, static_cast<std::size_t>(config_.bin));
+    if (width != width_) {
+      width_ = width;
+      const int threads = config_.threads_per_block;
+      const auto segments = static_cast<std::uint64_t>(
+          std::max(1, threads / static_cast<int>(width)));
+      seg_len_ = (f_ + segments - 1) / segments;
+      lane_map_.resize(static_cast<std::size_t>(threads));
+      for (std::size_t t = 0; t < lane_map_.size(); ++t) {
+        lane_map_[t] = {t % width, t / width % segments * seg_len_};
+      }
+    }
+    for (std::size_t t = 0; t < lanes_.size(); ++t) {
+      const LaneMap& map = lane_map_[t];
+      lanes_[t] = {
+          col_base(cols_[batch_ + map.col]) + map.elem * sizeof(real_t),
+          map.elem < f_ ? f_ - map.elem : 0};
+    }
+    const auto warp = static_cast<std::ptrdiff_t>(warp_);
+    for (auto w = lanes_.begin(); w != lanes_.end(); w += warp) {
+      std::sort(w, w + warp,
+                [](const Lane& a, const Lane& b) { return a.addr < b.addr; });
+    }
+  }
+
+  TraceConfig config_;
+  std::span<const index_t> cols_;
+  int warp_;
+  int line_shift_ = 0;
+  std::uint64_t f_;
+  std::uint64_t col_bytes_;
+  std::vector<std::uint64_t> lines_;
+
+  // Scheme (a) cursor: column index and byte offset within it.
+  std::size_t col_ = 0;
+  std::uint64_t off_ = 0;
+
+  // Scheme (b) cursor: batch start, element step, warp.
+  std::size_t batch_ = 0;
+  std::uint64_t e_ = 0;
+  std::size_t w_ = 0;
+  std::uint64_t seg_len_ = 0;
+  std::size_t width_ = 0;
+  std::vector<LaneMap> lane_map_;
+  std::vector<Lane> lanes_;
+};
 
 }  // namespace
 
 std::vector<WarpInstruction> hermitian_load_trace(
     const DeviceSpec& dev, const TraceConfig& config,
     std::span<const index_t> cols) {
-  CUMF_EXPECTS(config.f > 0 && config.bin > 0, "f and BIN must be positive");
-  CUMF_EXPECTS(config.threads_per_block % dev.warp_size == 0,
-               "block must be whole warps");
+  LoadTraceGen gen(dev, config, cols);
   std::vector<WarpInstruction> stream;
-  const auto f = static_cast<std::uint64_t>(config.f);
-  const auto col_bytes = f * sizeof(real_t);
-  const int warp = dev.warp_size;
-  const int warps_per_block = config.threads_per_block / warp;
-
-  const auto col_base = [&](index_t v) {
-    return config.theta_base + static_cast<std::uint64_t>(v) * col_bytes;
-  };
-
-  for (std::size_t batch = 0; batch < cols.size();
-       batch += static_cast<std::size_t>(config.bin)) {
-    const std::size_t batch_end =
-        std::min(cols.size(), batch + static_cast<std::size_t>(config.bin));
-    const auto batch_cols = cols.subspan(batch, batch_end - batch);
-
-    if (config.coalesced) {
-      // Scheme (a): all threads cooperate on one column before the next.
-      // Each warp instruction covers warp_size consecutive floats.
-      for (const index_t v : batch_cols) {
-        const std::uint64_t base = col_base(v);
-        for (std::uint64_t off = 0; off < col_bytes;
-             off += static_cast<std::uint64_t>(warp) * sizeof(real_t)) {
-          const std::uint64_t end =
-              std::min(col_bytes,
-                       off + static_cast<std::uint64_t>(warp) * sizeof(real_t));
-          WarpInstruction inst;
-          add_range_lines(base + off, base + end, dev.cache_line_bytes,
-                          inst.lines);
-          std::sort(inst.lines.begin(), inst.lines.end());
-          inst.lines.erase(std::unique(inst.lines.begin(), inst.lines.end()),
-                           inst.lines.end());
-          stream.push_back(std::move(inst));
-        }
-      }
-    } else {
-      // Scheme (b): each thread owns one column (threads beyond the batch
-      // width share columns by splitting the element range). One instruction
-      // per element step touches up to warp_size distinct lines.
-      const int active_threads = config.threads_per_block;
-      const int segments =
-          std::max(1, active_threads / static_cast<int>(batch_cols.size()));
-      const auto seg_len =
-          (f + static_cast<std::uint64_t>(segments) - 1) /
-          static_cast<std::uint64_t>(segments);
-
-      // Element step e: thread t reads element (t / bin) * seg_len + e of
-      // column batch_cols[t % bin].
-      for (std::uint64_t e = 0; e < seg_len; ++e) {
-        for (int w = 0; w < warps_per_block; ++w) {
-          WarpInstruction inst;
-          for (int lane = 0; lane < warp; ++lane) {
-            const int t = w * warp + lane;
-            const auto ci = static_cast<std::size_t>(t) % batch_cols.size();
-            const auto seg = static_cast<std::uint64_t>(t) /
-                             batch_cols.size() % segments;
-            const std::uint64_t elem = seg * seg_len + e;
-            if (elem >= f) {
-              continue;  // tail of the last segment
-            }
-            const std::uint64_t addr =
-                col_base(batch_cols[ci]) + elem * sizeof(real_t);
-            inst.lines.push_back(addr / static_cast<std::uint64_t>(
-                                           dev.cache_line_bytes) *
-                                 static_cast<std::uint64_t>(
-                                     dev.cache_line_bytes));
-          }
-          if (inst.lines.empty()) {
-            continue;
-          }
-          std::sort(inst.lines.begin(), inst.lines.end());
-          inst.lines.erase(std::unique(inst.lines.begin(), inst.lines.end()),
-                           inst.lines.end());
-          stream.push_back(std::move(inst));
-        }
-      }
-    }
+  while (gen.next()) {
+    stream.push_back({{gen.lines().begin(), gen.lines().end()}});
   }
   return stream;
 }
@@ -110,15 +204,12 @@ TraceStats simulate_hermitian_load(
     const DeviceSpec& dev, const TraceConfig& config,
     std::span<const std::vector<index_t>> rows_per_block) {
   CUMF_EXPECTS(!rows_per_block.empty(), "need at least one resident block");
-  CUMF_EXPECTS(config.f > 0 && config.bin > 0, "f and BIN must be positive");
-  CUMF_EXPECTS(config.threads_per_block % dev.warp_size == 0,
-               "block must be whole warps");
 
-  // Build each resident block's instruction stream.
-  std::vector<std::vector<WarpInstruction>> streams;
-  streams.reserve(rows_per_block.size());
+  // One generator per resident block (SM warp scheduler interleaves them).
+  std::vector<LoadTraceGen> gens;
+  gens.reserve(rows_per_block.size());
   for (const auto& cols : rows_per_block) {
-    streams.push_back(hermitian_load_trace(dev, config, cols));
+    gens.emplace_back(dev, config, cols);
   }
 
   // L2 is shared device-wide; give this SM its proportional share so that a
@@ -135,51 +226,37 @@ TraceStats simulate_hermitian_load(
   TraceStats stats;
   stats.rows_simulated = rows_per_block.size();
 
-  // Round-robin interleave across resident blocks (SM warp scheduler).
-  std::vector<std::size_t> cursor(streams.size(), 0);
-  bool progressed = true;
-  while (progressed) {
-    progressed = false;
-    for (std::size_t b = 0; b < streams.size(); ++b) {
-      if (cursor[b] >= streams[b].size()) {
+  // Round-robin interleave across resident blocks. A warp stalls for its
+  // slowest line, and MemLevel is ordered L1 < L2 < Dram.
+  std::uint64_t worst_count[3] = {0, 0, 0};
+  std::vector<LoadTraceGen*> live;
+  for (auto& gen : gens) {
+    live.push_back(&gen);
+  }
+  while (!live.empty()) {
+    std::size_t kept = 0;
+    for (LoadTraceGen* gen : live) {
+      if (!gen->next()) {
         continue;
       }
-      const WarpInstruction& inst = streams[b][cursor[b]++];
-      progressed = true;
-      ++stats.warp_instructions;
+      live[kept++] = gen;
       MemLevel worst = MemLevel::L1;
-      for (const std::uint64_t line : inst.lines) {
-        const MemLevel level = hierarchy.access(line);
-        ++stats.line_accesses;
-        switch (level) {
-          case MemLevel::L1:
-            ++stats.l1_hits;
-            break;
-          case MemLevel::L2:
-            ++stats.l2_hits;
-            if (worst == MemLevel::L1) {
-              worst = MemLevel::L2;
-            }
-            break;
-          case MemLevel::Dram:
-            ++stats.dram_accesses;
-            worst = MemLevel::Dram;
-            break;
-        }
+      for (const std::uint64_t line : gen->lines()) {
+        worst = std::max(worst, hierarchy.access(line));
       }
-      switch (worst) {
-        case MemLevel::L1:
-          ++stats.inst_worst_l1;
-          break;
-        case MemLevel::L2:
-          ++stats.inst_worst_l2;
-          break;
-        case MemLevel::Dram:
-          ++stats.inst_worst_dram;
-          break;
-      }
+      ++worst_count[static_cast<int>(worst)];
     }
+    live.resize(kept);
   }
+  stats.line_accesses = hierarchy.accesses();
+  stats.l1_hits = hierarchy.served_by(MemLevel::L1);
+  stats.l2_hits = hierarchy.served_by(MemLevel::L2);
+  stats.dram_accesses = hierarchy.served_by(MemLevel::Dram);
+  stats.inst_worst_l1 = worst_count[static_cast<int>(MemLevel::L1)];
+  stats.inst_worst_l2 = worst_count[static_cast<int>(MemLevel::L2)];
+  stats.inst_worst_dram = worst_count[static_cast<int>(MemLevel::Dram)];
+  stats.warp_instructions =
+      stats.inst_worst_l1 + stats.inst_worst_l2 + stats.inst_worst_dram;
   return stats;
 }
 

@@ -73,7 +73,8 @@ struct WarpInstruction {
 };
 
 /// Builds the load-phase instruction stream of one thread-block staging the
-/// feature columns `cols` under `config`'s scheme.
+/// feature columns `cols` under `config`'s scheme. Each instruction's lines
+/// are distinct and ascending.
 std::vector<WarpInstruction> hermitian_load_trace(
     const DeviceSpec& dev, const TraceConfig& config,
     std::span<const index_t> cols);
@@ -82,6 +83,9 @@ std::vector<WarpInstruction> hermitian_load_trace(
 /// of column indices (the non-zero columns of the rating row) that resident
 /// block `b` must stage; the number of resident blocks is
 /// `rows_per_block.size()` — pass the occupancy result for the real kernel.
+/// The result equals replaying hermitian_load_trace of every block,
+/// interleaved, through a CacheHierarchy; the instructions are generated on
+/// the fly, so memory is O(resident blocks), not O(trace).
 TraceStats simulate_hermitian_load(
     const DeviceSpec& dev, const TraceConfig& config,
     std::span<const std::vector<index_t>> rows_per_block);

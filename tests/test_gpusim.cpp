@@ -2,6 +2,10 @@
 // paper's worked example), access traces, cost model, interconnect, clock.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <list>
+#include <string>
 #include <vector>
 
 #include "common/check.hpp"
@@ -76,6 +80,79 @@ TEST(Cache, FlushResetsState) {
   cache.flush();
   EXPECT_EQ(cache.accesses(), 0u);
   EXPECT_FALSE(cache.access(0));
+}
+
+/// Reference true-LRU cache: per set a list of lines, most recent first,
+/// with the set chosen by plain modulo.
+class ReferenceLru {
+ public:
+  explicit ReferenceLru(const CacheConfig& c)
+      : line_bytes_(static_cast<std::uint64_t>(c.line_bytes)),
+        ways_(static_cast<std::size_t>(c.ways)),
+        sets_(static_cast<std::size_t>(c.size_bytes /
+                                       (c.line_bytes * c.ways))) {}
+
+  bool access(std::uint64_t address) {
+    const std::uint64_t line = address / line_bytes_;
+    std::list<std::uint64_t>& set = sets_[line % sets_.size()];
+    const auto it = std::find(set.begin(), set.end(), line);
+    const bool hit = it != set.end();
+    if (hit) {
+      set.erase(it);
+    } else if (set.size() == ways_) {
+      set.pop_back();
+    }
+    set.push_front(line);
+    return hit;
+  }
+
+ private:
+  std::uint64_t line_bytes_;
+  std::size_t ways_;
+  std::vector<std::list<std::uint64_t>> sets_;
+};
+
+TEST(Cache, MatchesReferenceLruOnRandomStreams) {
+  // Non-power-of-two set counts (3, 48, 50 — the K40 L2 share — and
+  // 1000), 1/8/16 ways, and line numbers below, across and above 2^32, where
+  // set indexing switches from the reciprocal to a plain modulo, up to the
+  // top of the address space. Each stream mixes all four regions, so a set
+  // index that is off in one region changes which lines collide.
+  const CacheConfig configs[] = {
+      {3 * 64 * 1, 64, 1},      {48 * 128 * 8, 128, 8},
+      {50 * 128 * 16, 128, 16}, {64 * 64 * 8, 64, 8},
+      {7 * 32 * 16, 32, 16},    {5 * 128 * 4, 128, 4},
+      {1000 * 64 * 8, 64, 8},
+  };
+  constexpr int kAccesses = 40000;
+  Rng rng(17);
+  for (const CacheConfig& c : configs) {
+    const auto line_bytes = static_cast<std::uint64_t>(c.line_bytes);
+    // Twice the capacity in distinct lines: a mix of hits and misses.
+    const auto region_lines =
+        static_cast<std::uint64_t>(c.size_bytes) / line_bytes / 2;
+    const std::uint64_t regions[] = {
+        0, (std::uint64_t{1} << 32) - region_lines / 2,
+        std::uint64_t{3} << 32, ~std::uint64_t{0} / line_bytes - region_lines};
+    CacheLevel cache(c);
+    ReferenceLru ref(c);
+    std::uint64_t hits = 0;
+    for (int i = 0; i < kAccesses; ++i) {
+      const std::uint64_t line =
+          regions[rng.uniform_index(4)] + rng.uniform_index(region_lines);
+      const std::uint64_t address =
+          line * line_bytes + rng.uniform_index(line_bytes);
+      const bool hit = ref.access(address);
+      ASSERT_EQ(cache.access(address), hit)
+          << "sets " << cache.sets() << ", ways " << c.ways << ", line "
+          << line << ", access " << i;
+      hits += hit ? 1 : 0;
+    }
+    EXPECT_EQ(cache.hits(), hits);
+    EXPECT_EQ(cache.misses(), kAccesses - hits);
+    EXPECT_GT(hits, 0u);
+    EXPECT_LT(hits, static_cast<std::uint64_t>(kAccesses));
+  }
 }
 
 // ---------- hierarchy ----------
@@ -224,6 +301,160 @@ TEST(Trace, StatsAreInternallyConsistent) {
   EXPECT_EQ(s.inst_worst_l1 + s.inst_worst_l2 + s.inst_worst_dram,
             s.warp_instructions);
   EXPECT_EQ(s.rows_simulated, 4u);
+}
+
+/// The simulation spelled out: collect every block's instruction stream
+/// with hermitian_load_trace, interleave the blocks round-robin and replay
+/// the lines through the same L1/L2 geometry simulate_hermitian_load uses.
+TraceStats replay_trace(const DeviceSpec& dev, const TraceConfig& config,
+                        const std::vector<std::vector<index_t>>& rows) {
+  std::vector<std::vector<WarpInstruction>> streams;
+  for (const auto& cols : rows) {
+    streams.push_back(hermitian_load_trace(dev, config, cols));
+  }
+  const CacheConfig l1{
+      config.l1_enabled ? dev.l1_bytes : dev.cache_line_bytes * 8,
+      dev.cache_line_bytes, 8};
+  const CacheConfig l2{std::max<std::int64_t>(dev.l2_bytes / dev.sm_count,
+                                              dev.cache_line_bytes * 64),
+                       dev.cache_line_bytes, 16};
+  CacheHierarchy hierarchy(l1, l2, config.l1_enabled);
+  TraceStats s;
+  s.rows_simulated = rows.size();
+  for (std::size_t i = 0;; ++i) {
+    bool any = false;
+    for (const auto& stream : streams) {
+      if (i >= stream.size()) {
+        continue;
+      }
+      any = true;
+      ++s.warp_instructions;
+      MemLevel worst = MemLevel::L1;
+      for (const std::uint64_t line : stream[i].lines) {
+        const MemLevel level = hierarchy.access(line);
+        ++s.line_accesses;
+        if (level == MemLevel::L1) {
+          ++s.l1_hits;
+        } else if (level == MemLevel::L2) {
+          ++s.l2_hits;
+        } else {
+          ++s.dram_accesses;
+        }
+        if (level == MemLevel::Dram ||
+            (level == MemLevel::L2 && worst == MemLevel::L1)) {
+          worst = level;
+        }
+      }
+      ++(worst == MemLevel::L1   ? s.inst_worst_l1
+         : worst == MemLevel::L2 ? s.inst_worst_l2
+                                 : s.inst_worst_dram);
+    }
+    if (!any) {
+      return s;
+    }
+  }
+}
+
+void expect_stats_eq(const TraceStats& got, const TraceStats& want) {
+  EXPECT_EQ(got.warp_instructions, want.warp_instructions);
+  EXPECT_EQ(got.line_accesses, want.line_accesses);
+  EXPECT_EQ(got.l1_hits, want.l1_hits);
+  EXPECT_EQ(got.l2_hits, want.l2_hits);
+  EXPECT_EQ(got.dram_accesses, want.dram_accesses);
+  EXPECT_EQ(got.inst_worst_l1, want.inst_worst_l1);
+  EXPECT_EQ(got.inst_worst_l2, want.inst_worst_l2);
+  EXPECT_EQ(got.inst_worst_dram, want.inst_worst_dram);
+  EXPECT_EQ(got.rows_simulated, want.rows_simulated);
+}
+
+TEST(Trace, StreamedSimulationEqualsReplayOfCollectedTrace) {
+  struct Case {
+    int f;
+    int bin;
+    int threads;
+    int cols;  // per block; block b stages cols + 7 * b columns
+  };
+  // bin 20 at 64 threads: 3 segments of 34 elements cover 102 > f = 100
+  // (an element tail), and 67 % 20 leaves a short last batch of width 7
+  // (10 segments of 10). f = 33 tails at every width; bin 128 exceeds the
+  // block, so each batch has one segment.
+  const Case cases[] = {{100, 20, 64, 67}, {100, 32, 64, 64}, {33, 16, 96, 45},
+                        {64, 128, 64, 150}, {100, 32, 32, 1}};
+  const DeviceSpec devices[] = {DeviceSpec::kepler_k40(),
+                                DeviceSpec::pascal_p100()};
+  std::uint64_t seed = 40;
+  for (const DeviceSpec& dev : devices) {
+    for (const Case& c : cases) {
+      std::vector<std::vector<index_t>> rows;
+      for (int b = 0; b < 4; ++b) {
+        rows.push_back(make_rows(1, c.cols + 7 * b, 3000, ++seed).front());
+      }
+      for (const bool coalesced : {true, false}) {
+        for (const bool l1 : {true, false}) {
+          TraceConfig config;
+          config.f = c.f;
+          config.bin = c.bin;
+          config.threads_per_block = c.threads;
+          config.coalesced = coalesced;
+          config.l1_enabled = l1;
+          SCOPED_TRACE(dev.name + " f " + std::to_string(c.f) + " bin " +
+                       std::to_string(c.bin) +
+                       (coalesced ? " coalesced" : " scattered") +
+                       (l1 ? " L1" : " noL1"));
+          const TraceStats want = replay_trace(dev, config, rows);
+          EXPECT_GT(want.warp_instructions, 0u);
+          expect_stats_eq(simulate_hermitian_load(dev, config, rows), want);
+        }
+      }
+    }
+  }
+}
+
+TEST(Trace, StatsPinnedToReferenceValues) {
+  // Full TraceStats of cheap configurations, recorded from the original
+  // materialize-then-replay simulator; the modeled numbers must not move.
+  struct Pinned {
+    const char* name;
+    TraceStats stats;
+  };
+  const auto titan = DeviceSpec::maxwell_titan_x();
+  const auto titan_rows = make_rows(6, 64, 2000, 1);
+  TraceConfig coal;
+  coal.coalesced = true;
+  TraceConfig scattered;
+  scattered.coalesced = false;
+  TraceConfig scattered_no_l1 = scattered;
+  scattered_no_l1.l1_enabled = false;
+  TraceConfig tail = scattered;
+  tail.bin = 20;
+  TraceConfig f64 = coal;
+  f64.f = 64;
+  f64.l1_enabled = false;
+  const Pinned pinned[] = {
+      {"titan coalesced",
+       {1536, 2538, 1088, 84, 1366, 392, 62, 1082, 6}},
+      {"titan scattered",
+       {1200, 38300, 20053, 16876, 1371, 0, 978, 222, 6}},
+      {"titan scattered noL1",
+       {1200, 38300, 0, 36932, 1368, 0, 981, 219, 6}},
+      {"k40 scattered bin 20",
+       {952, 28307, 5781, 21736, 790, 0, 828, 124, 4}},
+      {"p100 coalesced f 64 noL1",
+       {900, 900, 0, 4, 896, 0, 4, 896, 5}},
+  };
+  const TraceStats got[] = {
+      simulate_hermitian_load(titan, coal, titan_rows),
+      simulate_hermitian_load(titan, scattered, titan_rows),
+      simulate_hermitian_load(titan, scattered_no_l1, titan_rows),
+      simulate_hermitian_load(DeviceSpec::kepler_k40(), tail,
+                              make_rows(4, 70, 500, 3)),
+      simulate_hermitian_load(DeviceSpec::pascal_p100(), f64,
+                              make_rows(5, 90, 100000, 4)),
+  };
+  for (std::size_t i = 0; i < std::size(pinned); ++i) {
+    SCOPED_TRACE(pinned[i].name);
+    expect_stats_eq(got[i], pinned[i].stats);
+  }
 }
 
 // ---------- cost model ----------
