@@ -11,23 +11,92 @@ namespace cumf {
 
 namespace {
 
-/// T×T register-block accumulation, SIMD path: for each tile row i the
-/// row-segment update block[i,:] += y_i · frag_x[:] is elementwise, so the
-/// 8-lane vector body plus scalar tail is bitwise identical to the scalar
-/// loop (same per-element operations in the same s/i/j order).
-void accumulate_tile_simd(real_t* block, std::size_t f, std::size_t tile,
-                          const real_t* frag_x, const real_t* frag_y) {
-  for (std::size_t i = 0; i < tile; ++i) {
-    const real_t yi = frag_y[i];
-    real_t* brow = block + i * f;
-    const simd::vf8 yv = simd::vf8::broadcast(yi);
-    std::size_t j = 0;
-    for (; j + 8 <= tile; j += 8) {
-      (simd::vf8::load(brow + j) + yv * simd::vf8::load(frag_x + j))
-          .store(brow + j);
+/// Row-panel accumulation, SIMD path: rows [i0, i0+R) × columns
+/// [j0, j0+8V) of A stay in R·V vf8 registers while the whole staged batch
+/// streams through them, and are stored once. Each element still receives
+/// acc + y_i·x_j once per staged column, in column order — the same
+/// per-element operation sequence as the tile loop, so the result is
+/// bitwise identical to accumulate_tile_scalar.
+template <std::size_t R, std::size_t V>
+void accumulate_panel(real_t* a, std::size_t f, std::size_t i0,
+                      std::size_t j0, const real_t* staged,
+                      std::size_t batch_len) {
+  simd::vf8 acc[R][V];
+  for (std::size_t r = 0; r < R; ++r) {
+    for (std::size_t v = 0; v < V; ++v) {
+      acc[r][v] = simd::vf8::load(a + (i0 + r) * f + j0 + 8 * v);
     }
-    for (; j < tile; ++j) {
-      brow[j] += yi * frag_x[j];
+  }
+  for (std::size_t s = 0; s < batch_len; ++s) {
+    const real_t* col = staged + s * f;
+    simd::vf8 x[V];
+    for (std::size_t v = 0; v < V; ++v) {
+      x[v] = simd::vf8::load(col + j0 + 8 * v);
+    }
+    for (std::size_t r = 0; r < R; ++r) {
+      const simd::vf8 y = simd::vf8::broadcast(col[i0 + r]);
+      for (std::size_t v = 0; v < V; ++v) {
+        acc[r][v] = acc[r][v] + y * x[v];
+      }
+    }
+  }
+  for (std::size_t r = 0; r < R; ++r) {
+    for (std::size_t v = 0; v < V; ++v) {
+      acc[r][v].store(a + (i0 + r) * f + j0 + 8 * v);
+    }
+  }
+}
+
+template <std::size_t R>
+void accumulate_panel_n(std::size_t vectors, real_t* a, std::size_t f,
+                        std::size_t i0, std::size_t j0, const real_t* staged,
+                        std::size_t batch_len) {
+  switch (vectors) {
+    case 1:
+      return accumulate_panel<R, 1>(a, f, i0, j0, staged, batch_len);
+    case 2:
+      return accumulate_panel<R, 2>(a, f, i0, j0, staged, batch_len);
+    case 3:
+      return accumulate_panel<R, 3>(a, f, i0, j0, staged, batch_len);
+    default:
+      return accumulate_panel<R, 4>(a, f, i0, j0, staged, batch_len);
+  }
+}
+
+/// Lower triangle of A += Σ_s θ_s θ_sᵀ over the staged batch, by row
+/// panels: two rows at a time (eight independent FMA chains, enough to
+/// cover the FMA latency), each row cut into chunks of up to four vf8.
+/// A pair's panel spans [0, roundup8(i0+2)) ∩ [0, f): every lower element
+/// plus at most seven upper ones, which the caller's mirror overwrites.
+/// Columns past the last full vector (only when f % 8 ≠ 0) take the same
+/// scalar acc + y·x per element.
+void accumulate_rows_simd(real_t* a, std::size_t f, const real_t* staged,
+                          std::size_t batch_len) {
+  constexpr std::size_t kRows = 2;
+  constexpr std::size_t kMaxVectors = 4;
+  for (std::size_t i0 = 0; i0 < f; i0 += kRows) {
+    const std::size_t rows = std::min(kRows, f - i0);
+    const std::size_t len = std::min(f, (i0 + rows + 7) / 8 * 8);
+    const std::size_t full = len / 8;
+    for (std::size_t v0 = 0; v0 < full; v0 += kMaxVectors) {
+      const std::size_t vectors = std::min(kMaxVectors, full - v0);
+      if (rows == kRows) {
+        accumulate_panel_n<kRows>(vectors, a, f, i0, 8 * v0, staged,
+                                  batch_len);
+      } else {
+        for (std::size_t r = i0; r < i0 + rows; ++r) {
+          accumulate_panel_n<1>(vectors, a, f, r, 8 * v0, staged, batch_len);
+        }
+      }
+    }
+    for (std::size_t r = i0; r < i0 + rows; ++r) {
+      for (std::size_t j = 8 * full; j < len; ++j) {
+        real_t acc = a[r * f + j];
+        for (std::size_t s = 0; s < batch_len; ++s) {
+          acc += staged[s * f + r] * staged[s * f + j];
+        }
+        a[r * f + j] = acc;
+      }
     }
   }
 }
@@ -90,18 +159,20 @@ void get_hermitian_row(const CsrMatrix& r, const Matrix& theta, index_t u,
       }
     }
 
-    // Accumulate: one "thread" per lower-triangular tile pair (x ≤ y);
-    // its T×T register block adds θ^(y) ⊗ θ^(x) for every staged column.
-    for (std::size_t y = 0; y < nt; ++y) {
-      for (std::size_t x = 0; x <= y; ++x) {
-        real_t* block = a_out.data() + (y * tile) * f + (x * tile);
-        for (std::size_t s = 0; s < batch_len; ++s) {
-          const real_t* frag_x = ws.staged.data() + s * f + x * tile;
-          const real_t* frag_y = ws.staged.data() + s * f + y * tile;
-          if (use_simd) {
-            accumulate_tile_simd(block, f, tile, frag_x, frag_y);
-          } else {
-            accumulate_tile_scalar(block, f, tile, frag_x, frag_y);
+    // Accumulate the lower triangle. The scalar path mirrors the GPU
+    // kernel: one "thread" per lower-triangular tile pair (x ≤ y), its T×T
+    // register block adding θ^(y) ⊗ θ^(x) for every staged column. The SIMD
+    // path holds row panels in vector registers instead (same bits).
+    if (use_simd) {
+      accumulate_rows_simd(a_out.data(), f, ws.staged.data(), batch_len);
+    } else {
+      for (std::size_t y = 0; y < nt; ++y) {
+        for (std::size_t x = 0; x <= y; ++x) {
+          real_t* block = a_out.data() + (y * tile) * f + (x * tile);
+          for (std::size_t s = 0; s < batch_len; ++s) {
+            accumulate_tile_scalar(block, f, tile,
+                                   ws.staged.data() + s * f + x * tile,
+                                   ws.staged.data() + s * f + y * tile);
           }
         }
       }

@@ -11,6 +11,14 @@
 // mirrored on flush. Mirroring the structure keeps the simulated-GPU
 // resource accounting (registers = T², smem = BIN·f floats) honest, and the
 // unit tests verify it is numerically identical to the naive reference.
+//
+// On the host the register block is a row panel instead: the SIMD path
+// holds two rows of the lower triangle (up to 32 columns each) in vector
+// registers across the whole staged batch, which a T×T tile is too small
+// to do. Every element still gets the same acc + y_i·x_j sequence, so the
+// output is bitwise that of the tile loop, which the scalar path keeps as
+// the differential reference. The gpusim resource model and
+// HermitianParams::tile are unchanged.
 #pragma once
 
 #include <span>
@@ -45,9 +53,10 @@ struct HermitianWorkspace {
 /// and b_u into `b_out`. λ·n_u is added to the diagonal (ALS-WR weighting,
 /// eq. (2)). Rows with no non-zeros produce A_u = λ·0·I = 0 plus b=0; the
 /// caller decides how to handle them (AlsEngine keeps the old factor).
-/// `path` selects the SIMD or scalar variant of the tile accumulation, the
-/// FP16 staging transform, and the b_u update; the two variants are bitwise
-/// identical (all three stages are elementwise) and differentially tested.
+/// `path` selects the SIMD (row panels) or scalar (T×T tiles) variant of
+/// the accumulation, the FP16 staging transform, and the b_u update; the
+/// two variants are bitwise identical (all three stages are elementwise)
+/// and differentially tested.
 void get_hermitian_row(const CsrMatrix& r, const Matrix& theta, index_t u,
                        real_t lambda, const HermitianParams& params,
                        HermitianWorkspace& ws, std::span<real_t> a_out,

@@ -1,12 +1,15 @@
 #include "core/solver.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "common/check.hpp"
 #include "half/half_simd.hpp"
 #include "linalg/cholesky.hpp"
 #include "linalg/lu.hpp"
+#include "simd/vec.hpp"
 
 namespace cumf {
 
@@ -152,22 +155,38 @@ bool SystemSolver::solve_cg(std::span<const T> a,
 }
 
 bool SystemSolver::fp16_pack_ok(std::span<const real_t> a) const noexcept {
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    // half max is 65504: a heavy row's hermitian diagonal (which grows with
-    // nnz_u) can exceed it even though the FP32 value is fine.
-    if (scratch_fp16_[i].is_inf() && std::isfinite(a[i])) {
-      return false;
-    }
+  // Branchless bit tests, OR-reduced over the whole matrix 8 lanes at a
+  // time: same two rules as an elementwise scan, no per-element branch.
+  using simd::vu8;
+  const auto* bits =
+      reinterpret_cast<const std::uint16_t*>(scratch_fp16_.data());
+  // half max is 65504: a heavy row's hermitian diagonal (which grows with
+  // nnz_u) can exceed it even though the FP32 value is fine. A half of
+  // ±inf (|h| == 0x7C00) from a finite float (exponent field not all ones)
+  // overflowed in the pack.
+  const vu8 abs16 = vu8::broadcast(0x7FFFu);
+  const vu8 inf16 = vu8::broadcast(0x7C00u);
+  const vu8 exp32 = vu8::broadcast(0x7F800000u);
+  vu8 bad8 = vu8::broadcast(0u);
+  std::size_t i = 0;
+  for (; i + 8 <= a.size(); i += 8) {
+    const vu8 half_inf = vu8::eq(vu8::load_u16(bits + i) & abs16, inf16);
+    const vu8 nonfinite = vu8::eq(
+        vu8::from_float(simd::vf8::load(a.data() + i)) & exp32, exp32);
+    bad8 = bad8 | (half_inf & ~nonfinite);
+  }
+  bool bad = bad8.any();
+  for (; i < a.size(); ++i) {
+    bad |= (bits[i] & 0x7FFFu) == 0x7C00u &&
+           (std::bit_cast<std::uint32_t>(a[i]) & 0x7F800000u) != 0x7F800000u;
   }
   for (std::size_t d = 0; d < f_; ++d) {
-    const std::size_t i = d * f_ + d;
+    const std::size_t k = d * f_ + d;
     // A diagonal flushed to zero (|a| < 2^-25) silently destroys the ridge
     // that keeps A SPD.
-    if (a[i] != 0.0f && static_cast<float>(scratch_fp16_[i]) == 0.0f) {
-      return false;
-    }
+    bad |= a[k] != 0.0f && (bits[k] & 0x7FFFu) == 0;
   }
-  return true;
+  return !bad;
 }
 
 bool SystemSolver::solve(std::span<const real_t> a,

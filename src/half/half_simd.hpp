@@ -14,13 +14,29 @@
 // Both are exact: the differential tests check bitwise equality against the
 // scalar `half` class over every 16-bit pattern (unpack / round-trip) and
 // over random + boundary floats (pack), including NaN payload propagation.
+//
+// When the compiler targets F16C (vector-extension backend built with
+// -march=native on an x86-64 host that has it), both directions use the
+// hardware conversions vcvtph2ps / vcvtps2ph (round to nearest even)
+// instead. The pack is bit-identical to half::from_float as is; the unpack
+// differs only on signalling-NaN inputs, which the hardware quiets, so a
+// one-mask fix-up clears the quiet bit again on exactly those lanes.
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 
 #include "half/half.hpp"
 #include "simd/vec.hpp"
+
+#if CUMF_SIMD_VEXT && defined(__F16C__)
+#include <immintrin.h>
+#define CUMF_HALF_F16C 1
+#else
+#define CUMF_HALF_F16C 0
+#endif
 
 namespace cumf {
 
@@ -29,7 +45,19 @@ inline simd::vf8 half_to_float8(const half* src) noexcept {
   using simd::vu8;
   // half is a single uint16_t; reinterpret the array as raw bit patterns.
   const vu8 h = vu8::load_u16(reinterpret_cast<const std::uint16_t*>(src));
-
+#if CUMF_HALF_F16C
+  __m128i raw;
+  std::memcpy(&raw, src, sizeof(raw));
+  const vu8 o = vu8::from_float(
+      {std::bit_cast<simd::f32x8>(_mm256_cvtph_ps(raw))});
+  // NaN lanes (|h| > 0x7C00) must carry the half's own bit 9 in float bit
+  // 22; the hardware forces it to 1. Clearing it where h has it clear
+  // restores the signalling NaNs and leaves every other lane untouched.
+  const vu8 nan =
+      vu8::gt(h & vu8::broadcast(0x7FFFu), vu8::broadcast(0x7C00u));
+  const vu8 quieted = nan & ~(h << 13) & vu8::broadcast(0x00400000u);
+  return (o & ~quieted).as_float();
+#else
   const vu8 sign = (h & vu8::broadcast(0x8000u)) << 16;
   vu8 o = (h & vu8::broadcast(0x7FFFu)) << 13;
   const vu8 exp = o & vu8::broadcast(0x0F800000u);  // 0x7C00 << 13
@@ -49,11 +77,33 @@ inline simd::vf8 half_to_float8(const half* src) noexcept {
   o = vu8::select(tiny, vu8::from_float(sub_f), o);
 
   return (o | sign).as_float();
+#endif
+}
+
+/// half_to_float8 for callers that widen the floats to double straight
+/// away (the CG-FP16 gemv). The F16C conversion hands back signalling NaNs
+/// already quieted, which the float→double widening does to them anyway, so
+/// every widened value is bitwise the same without the fix-up. Without
+/// F16C this is half_to_float8.
+inline simd::vf8 half_to_float8_widening(const half* src) noexcept {
+#if CUMF_HALF_F16C
+  __m128i raw;
+  std::memcpy(&raw, src, sizeof(raw));
+  return {std::bit_cast<simd::f32x8>(_mm256_cvtph_ps(raw))};
+#else
+  return half_to_float8(src);
+#endif
 }
 
 /// Converts 8 packed floats to 8 half-bit patterns with round-to-nearest-
 /// even, writing the raw uint16 patterns to `dst`.
 inline void float_to_half8(const float* src, std::uint16_t* dst) noexcept {
+#if CUMF_HALF_F16C
+  const __m128i packed =
+      _mm256_cvtps_ph(std::bit_cast<__m256>(simd::vf8::load(src).v),
+                      _MM_FROUND_TO_NEAREST_INT);
+  std::memcpy(dst, &packed, sizeof(packed));
+#else
   using simd::vu8;
   vu8 u = vu8::from_float(simd::vf8::load(src));
   const vu8 sign16 = (u & vu8::broadcast(0x80000000u)) >> 16;
@@ -85,6 +135,7 @@ inline void float_to_half8(const float* src, std::uint16_t* dst) noexcept {
 
   const vu8 o = vu8::select(infnan, o_infnan, vu8::select(tiny, o_tiny, o_norm));
   (o | sign16).store_u16(dst);
+#endif
 }
 
 /// Widens `n` halves into floats. The SIMD path and the scalar path are

@@ -71,33 +71,66 @@ double dot_d(std::span<const real_t> a, std::span<const real_t> b,
 namespace detail {
 
 /// 8-lane load of the storage type: float loads directly, half goes through
-/// the vectorized unpack (bitwise identical to elementwise widening).
+/// the vectorized unpack. The gemv widens every loaded lane to double, so
+/// the half unpack may leave signalling NaNs quieted (see
+/// half_to_float8_widening): the doubles are bitwise those of elementwise
+/// widening.
 inline simd::vf8 load8(const float* p) noexcept { return simd::vf8::load(p); }
-inline simd::vf8 load8(const half* p) noexcept { return half_to_float8(p); }
+inline simd::vf8 load8(const half* p) noexcept {
+  return half_to_float8_widening(p);
+}
+
+/// Rows [i0, i0+R) of the SIMD gemv (n ≥ 8). Each row keeps its own vd8
+/// accumulator — the per-row sum is exactly the one-row loop's — while the
+/// widened 8-lane chunk of `in` is shared by the R rows and the R
+/// accumulators give the FMA pipe independent chains.
+template <std::size_t R, typename T>
+void gemv_rows(std::size_t n, const T* a, std::size_t i0, const real_t* in,
+               real_t* out) {
+  simd::vd8 acc[R];
+  for (std::size_t r = 0; r < R; ++r) {
+    acc[r] = simd::vd8::zero();
+  }
+  std::size_t j = 0;
+  for (; j + 8 <= n; j += 8) {
+    const simd::vd8 xw = simd::vd8::widen(simd::vf8::load(in + j));
+    for (std::size_t r = 0; r < R; ++r) {
+      acc[r].mul_acc(xw, load8(a + (i0 + r) * n + j));
+    }
+  }
+  for (std::size_t r = 0; r < R; ++r) {
+    double sum = acc[r].hsum();
+    if (j < n) {
+      // The n − j < 8 trailing elements are the top lanes of one 8-lane
+      // load of the row's last 8 elements (n ≥ 8, see gemv); for half
+      // storage this replaces n − j out-of-line half::to_float calls. They
+      // are summed sequentially, as on the scalar path.
+      float last[8];
+      load8(a + (i0 + r) * n + n - 8).store(last);
+      for (std::size_t k = j; k < n; ++k) {
+        sum += static_cast<double>(last[k + 8 - n]) *
+               static_cast<double>(in[k]);
+      }
+    }
+    out[i0 + r] = static_cast<real_t>(sum);
+  }
+}
 
 /// out = A·in for row-major n×n A of storage type T, FP32 data, double
 /// accumulation per row (exact float→double products on both paths).
 template <typename T>
 void gemv(std::size_t n, const T* a, const real_t* in, real_t* out,
           simd::KernelPath path) {
-  if (path == simd::KernelPath::simd) {
-    for (std::size_t i = 0; i < n; ++i) {
-      const T* row = a + i * n;
-      simd::vd4 acc_lo = simd::vd4::zero();
-      simd::vd4 acc_hi = simd::vd4::zero();
-      std::size_t j = 0;
-      for (; j + 8 <= n; j += 8) {
-        const simd::vf8 av = load8(row + j);
-        const simd::vf8 xv = simd::vf8::load(in + j);
-        acc_lo.mul_acc_lo(av, xv);
-        acc_hi.mul_acc_hi(av, xv);
-      }
-      double acc = acc_lo.hsum() + acc_hi.hsum();
-      for (; j < n; ++j) {
-        acc += static_cast<double>(load_as_float(row[j])) *
-               static_cast<double>(in[j]);
-      }
-      out[i] = static_cast<real_t>(acc);
+  // A row shorter than 8 would be all tail, which the scalar loop sums in
+  // the same order, so it serves both paths there.
+  if (path == simd::KernelPath::simd && n >= 8) {
+    constexpr std::size_t kRows = 4;
+    std::size_t i = 0;
+    for (; i + kRows <= n; i += kRows) {
+      gemv_rows<kRows>(n, a, i, in, out);
+    }
+    for (; i < n; ++i) {
+      gemv_rows<1>(n, a, i, in, out);
     }
     return;
   }

@@ -3,8 +3,8 @@
 // The paper's kernels (get_hermitian tiling, the CG solve) live or die by
 // data-parallel arithmetic; on the CPU reproduction that means vector
 // registers. This header wraps GCC/Clang vector extensions behind small
-// fixed-width value types — vf8 (8 × float) for elementwise work, vd4
-// (4 × double) for reduction accumulators, vu8 (8 × uint32) for the bit
+// fixed-width value types — vf8 (8 × float) for elementwise work, vd8
+// (8 × double) for reduction accumulators, vu8 (8 × uint32) for the bit
 // manipulation in the FP16 unpack — with a scalar-array fallback selected at
 // configure time (CMake option CUMF_SIMD, which defines CUMF_SIMD_ENABLED).
 //
@@ -14,7 +14,7 @@
 //  - reductions (hsum after lane-parallel accumulation) reassociate the sum,
 //    so results are ULP-close, not bitwise equal, to a sequential loop.
 //    Products of two floats widened to double are exact (24+24 ≤ 53 bits),
-//    so lane accumulation in vd4 only reorders exactly-representable terms.
+//    so lane accumulation in vd8 only reorders exactly-representable terms.
 //
 // Both kernel variants (scalar and SIMD) are always compiled; KernelPath
 // selects per call, and kDefaultPath reflects the configure-time choice.
@@ -54,10 +54,8 @@ const char* backend_name() noexcept;
 #if CUMF_SIMD_VEXT
 
 using f32x8 = float __attribute__((vector_size(32)));
-using f64x4 = double __attribute__((vector_size(32)));
 using u32x8 = std::uint32_t __attribute__((vector_size(32)));
 using i32x8 = std::int32_t __attribute__((vector_size(32)));
-using f32x4 = float __attribute__((vector_size(16)));
 
 /// 8 packed floats. Loads/stores go through memcpy, so unaligned pointers
 /// are fine (compiles to movups / vmovups).
@@ -87,42 +85,12 @@ struct vf8 {
   float lane(std::size_t i) const noexcept { return v[i]; }
 };
 
-/// 4 packed doubles — reduction accumulator.
-struct vd4 {
-  static constexpr std::size_t kLanes = 4;
-  f64x4 v;
-
-  static vd4 zero() noexcept { return {f64x4{}}; }
-
-  /// Accumulates double(a_lane) * double(b_lane) for the low 4 lanes of a/b.
-  /// The float→double widening makes each product exact.
-  void mul_acc_lo(vf8 a, vf8 b) noexcept {
-    const f32x4 al = __builtin_shufflevector(a.v, a.v, 0, 1, 2, 3);
-    const f32x4 bl = __builtin_shufflevector(b.v, b.v, 0, 1, 2, 3);
-    v += __builtin_convertvector(al, f64x4) *
-         __builtin_convertvector(bl, f64x4);
-  }
-  /// Same for the high 4 lanes.
-  void mul_acc_hi(vf8 a, vf8 b) noexcept {
-    const f32x4 ah = __builtin_shufflevector(a.v, a.v, 4, 5, 6, 7);
-    const f32x4 bh = __builtin_shufflevector(b.v, b.v, 4, 5, 6, 7);
-    v += __builtin_convertvector(ah, f64x4) *
-         __builtin_convertvector(bh, f64x4);
-  }
-
-  /// Pairwise horizontal sum: (v0+v2) + (v1+v3).
-  double hsum() const noexcept { return (v[0] + v[2]) + (v[1] + v[3]); }
-};
-
 using f64x8 = double __attribute__((vector_size(64)));
 
-/// 8 packed doubles — the {acc_lo, acc_hi} vd4 pair fused into a single
-/// accumulator. Lane l holds exactly what lane (l < 4 ? acc_lo[l] :
-/// acc_hi[l-4]) holds in the split form (same per-lane products, same
-/// per-lane addition order), and hsum() reduces in the same order as
-/// acc_lo.hsum() + acc_hi.hsum() — so a kernel ported from the vd4 pair to
-/// vd8 is bit-identical, while the compiler gets one full-width convert and
-/// FMA per chunk instead of two half-width shuffles + converts.
+/// 8 packed doubles — reduction accumulator. Lane l sums the exact
+/// products of lane l in call order, and hsum() reduces in a fixed order
+/// (the one of the former pair of 4-lane accumulators, so the kernels that
+/// moved from that pair kept their bits).
 struct vd8 {
   static constexpr std::size_t kLanes = 8;
   f64x8 v;
@@ -138,8 +106,7 @@ struct vd8 {
   /// loops that reuse it across many right operands (e.g. gemv rows).
   void mul_acc(vd8 a_wide, vf8 b) noexcept { v += a_wide.v * widen(b).v; }
 
-  /// ((v0+v2)+(v1+v3)) + ((v4+v6)+(v5+v7)) — exactly the vd4 pair's
-  /// acc_lo.hsum() + acc_hi.hsum().
+  /// ((v0+v2)+(v1+v3)) + ((v4+v6)+(v5+v7)).
   double hsum() const noexcept {
     return ((v[0] + v[2]) + (v[1] + v[3])) + ((v[4] + v[6]) + (v[5] + v[7]));
   }
@@ -192,6 +159,13 @@ struct vu8 {
 
   vf8 as_float() const noexcept { return {std::bit_cast<f32x8>(v)}; }
   static vu8 from_float(vf8 f) noexcept { return {std::bit_cast<u32x8>(f.v)}; }
+
+  /// True when any lane is nonzero.
+  bool any() const noexcept {
+    const u32x8 folded =
+        v | __builtin_shufflevector(v, v, 4, 5, 6, 7, 0, 1, 2, 3);
+    return (folded[0] | folded[1] | folded[2] | folded[3]) != 0;
+  }
 };
 
 #else  // scalar-array fallback: same API, element loops
@@ -234,25 +208,7 @@ struct vf8 {
   float lane(std::size_t i) const noexcept { return v[i]; }
 };
 
-struct vd4 {
-  static constexpr std::size_t kLanes = 4;
-  double v[4];
-
-  static vd4 zero() noexcept { return vd4{{0, 0, 0, 0}}; }
-  void mul_acc_lo(vf8 a, vf8 b) noexcept {
-    for (std::size_t i = 0; i < kLanes; ++i) {
-      v[i] += static_cast<double>(a.v[i]) * static_cast<double>(b.v[i]);
-    }
-  }
-  void mul_acc_hi(vf8 a, vf8 b) noexcept {
-    for (std::size_t i = 0; i < kLanes; ++i) {
-      v[i] += static_cast<double>(a.v[i + 4]) * static_cast<double>(b.v[i + 4]);
-    }
-  }
-  double hsum() const noexcept { return (v[0] + v[2]) + (v[1] + v[3]); }
-};
-
-/// Fused {acc_lo, acc_hi} pair — see the vector-ext backend's vd8 doc.
+/// Reduction accumulator — see the vector-ext backend's vd8 doc.
 struct vd8 {
   static constexpr std::size_t kLanes = 8;
   double v[8];
@@ -361,6 +317,12 @@ struct vu8 {
       r.v[i] = std::bit_cast<std::uint32_t>(f.v[i]);
     }
     return r;
+  }
+
+  bool any() const noexcept {
+    std::uint32_t folded = 0;
+    for (std::size_t i = 0; i < kLanes; ++i) folded |= v[i];
+    return folded != 0;
   }
 };
 

@@ -11,6 +11,7 @@
 
 #include "analysis/faultinject.hpp"
 #include "common/check.hpp"
+#include "common/crc32.hpp"
 #include "common/rng.hpp"
 #include "core/als.hpp"
 #include "core/hermitian.hpp"
@@ -20,6 +21,7 @@
 #include "core/solver.hpp"
 #include "data/generator.hpp"
 #include "data/implicit.hpp"
+#include "data/presets.hpp"
 #include "metrics/rmse.hpp"
 #include "sparse/split.hpp"
 
@@ -826,6 +828,90 @@ TEST(Als, RejectsNonFiniteRatings) {
   inf_coo.add(0, 0, std::numeric_limits<real_t>::infinity());
   inf_coo.add(1, 1, 1.0f);
   EXPECT_THROW(AlsEngine(inf_coo, options), CheckError);
+}
+
+// Pinned numerics: the other bit-identity tests compare the code with
+// itself (SIMD vs scalar, 4 devices vs 1, streamed vs in-core), so a hot-
+// path rewrite that moved every factor by an ulp would pass them all. These
+// CRC-32s of X‖Θ and the solver accounting were captured from the original
+// tile-loop get_hermitian and the Giesen-only FP16 kernels; any kernel
+// change must reproduce them bit for bit. The values depend on whether the
+// build contracts a + b·c into a fused multiply-add, and on nothing else
+// the configurations below vary. With GCC 12 on an x86-64 FMA host, the
+// fused set came from CUMF_SIMD=ON (-march=native, -O2 and -O3) and from
+// CUMF_SIMD=OFF with -march=native added (-O2); the unfused set from
+// CUMF_SIMD=OFF (baseline ISA, no FMA), from CUMF_SIMD=ON with
+// -ffp-contract=off, and from a CUMF_SIMD=ON Debug build (-O0 fuses
+// nothing). Other compilers and targets have no captured values.
+struct PinnedRun {
+  std::uint32_t factors_crc;
+  std::uint32_t hist_crc;
+  SolveStats stats;
+};
+
+PinnedRun pinned_run(SolverKind kind, std::size_t f) {
+  const auto data = generate(DatasetPreset::netflix().resized(0.05));
+  AlsOptions options;
+  options.f = f;
+  options.solver.kind = kind;
+  options.hermitian.tile = 10;
+  AlsEngine als(data.ratings, options);
+  for (int epoch = 0; epoch < 2; ++epoch) {
+    als.run_epoch();
+  }
+  const auto x = als.user_factors().data();
+  const auto theta = als.item_factors().data();
+  PinnedRun out;
+  out.factors_crc = crc32(crc32(0, x.data(), x.size_bytes()), theta.data(),
+                          theta.size_bytes());
+  out.stats = als.solve_stats();
+  out.hist_crc = crc32(0, out.stats.cg_hist.data(),
+                       sizeof(out.stats.cg_hist));
+  return out;
+}
+
+// Whether this build fuses a + b·c. The operands are read through volatile
+// so the expression is evaluated at run time, as in the kernels, which are
+// compiled with the same flags: (1 + 2^-12)² − 1 is 2^-11 + 2^-24 fused but
+// 2^-11 when the product is rounded to float first.
+bool build_contracts_fma() {
+  volatile float a = -1.0f;
+  volatile float b = 1.0f + 0x1.0p-12f;
+  const float x = a;
+  const float y = b;
+  return x + y * y == std::fma(y, y, x);
+}
+
+TEST(Als, PinnedNumericsMatchCapturedValues) {
+  const bool fused = build_contracts_fma();
+  const std::uint32_t kFp16Crc = fused ? 0x87e28225u : 0x06815762u;
+  const std::uint32_t kFp16HistCrc = fused ? 0x8602cfcbu : 0xd65dfa34u;
+  const std::uint64_t kFp16Iterations = fused ? 15358 : 15367;
+  const std::uint32_t kFp32Crc = fused ? 0x4a3bfd54u : 0x0ff9228du;
+  const std::uint32_t kFp32HistCrc = fused ? 0x9aa8e617u : 0x13609486u;
+  const std::uint64_t kFp32Iterations = fused ? 15251 : 15243;
+  // 1342 users + 56 items, two epochs: every run solves 2796 systems.
+  constexpr std::uint64_t kSystems = 2796;
+
+  const PinnedRun fp16 = pinned_run(SolverKind::CgFp16, 100);
+  EXPECT_EQ(fp16.factors_crc, kFp16Crc);
+  EXPECT_EQ(fp16.hist_crc, kFp16HistCrc);
+  EXPECT_EQ(fp16.stats.systems, kSystems);
+  EXPECT_EQ(fp16.stats.cg_iterations, kFp16Iterations);
+  EXPECT_EQ(fp16.stats.fp16_converted, kSystems * 100 * 100);
+  EXPECT_EQ(fp16.stats.failures, 0u);
+  EXPECT_EQ(fp16.stats.cg_fallbacks, 0u);
+  EXPECT_EQ(fp16.stats.fp16_fallbacks, 0u);
+
+  const PinnedRun fp32 = pinned_run(SolverKind::CgFp32, 32);
+  EXPECT_EQ(fp32.factors_crc, kFp32Crc);
+  EXPECT_EQ(fp32.hist_crc, kFp32HistCrc);
+  EXPECT_EQ(fp32.stats.systems, kSystems);
+  EXPECT_EQ(fp32.stats.cg_iterations, kFp32Iterations);
+  EXPECT_EQ(fp32.stats.fp16_converted, 0u);
+  EXPECT_EQ(fp32.stats.failures, 0u);
+  EXPECT_EQ(fp32.stats.cg_fallbacks, 0u);
+  EXPECT_EQ(fp32.stats.fp16_fallbacks, 0u);
 }
 
 TEST(KernelStats, TraceDrivenTimesAreDeterministic) {

@@ -10,6 +10,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -307,6 +308,16 @@ struct OocCase {
   bool tight_budget;
   SolverKind solver;
 };
+
+// gtest_discover_tests names each instance after gtest's printout of its
+// parameter. Without this PrintTo that printout is a byte dump of the padded
+// struct, whose padding bytes (and so the ctest names) change from build to
+// build; built from the fields, the names are the same in every build.
+void PrintTo(const OocCase& c, std::ostream* os) {
+  *os << 'w' << c.workers << (c.overlap ? "_overlap" : "_serial")
+      << (c.use_mmap ? "_mmap" : "_read")
+      << (c.tight_budget ? "_tight_" : "_roomy_") << solver_cli_name(c.solver);
+}
 
 class OocBitIdentity : public ::testing::TestWithParam<OocCase> {};
 

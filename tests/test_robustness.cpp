@@ -9,8 +9,10 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/faultinject.hpp"
@@ -400,6 +402,69 @@ TEST(SolverDegradation, Fp16OverflowRetriesInFp32) {
   EXPECT_EQ(solver.stats().fp16_fallbacks, 1u);
   EXPECT_EQ(solver.stats().cg_fallbacks, 0u);
   EXPECT_EQ(solver.stats().failures, 0u);
+}
+
+/// Solves one f=10 CG-FP16 system that is 4·I plus `edits`, on `path`.
+/// f=10 puts flat indices 96..99 in the 8-wide pack's scalar tail, so the
+/// edits below hit both the vector body and the tail.
+SolveStats fp16_pack_case(
+    const std::vector<std::pair<std::size_t, real_t>>& edits,
+    simd::KernelPath path) {
+  constexpr std::size_t f = 10;
+  SolverOptions opts;
+  opts.kind = SolverKind::CgFp16;
+  opts.path = path;
+  SystemSolver solver(f, opts);
+  std::vector<real_t> a(f * f, 0.0f);
+  for (std::size_t d = 0; d < f; ++d) {
+    a[d * f + d] = 4.0f;
+  }
+  for (const auto& [index, value] : edits) {
+    a[index] = value;
+  }
+  const std::vector<real_t> b(f, 1.0f);
+  std::vector<real_t> x(f, 0.0f);
+  (void)solver.solve(a, b, x);
+  return solver.stats();
+}
+
+TEST(SolverDegradation, Fp16PackCheckFlagsOverflowAndFlushOnly) {
+  // The pack check's two rules — a finite value that became inf, a nonzero
+  // diagonal flushed to zero — and what it must not flag: values that were
+  // already non-finite in FP32 go straight to CG, break down there, and
+  // fail on the exact path instead.
+  const real_t inf = std::numeric_limits<real_t>::infinity();
+  const real_t nan = std::numeric_limits<real_t>::quiet_NaN();
+  struct Case {
+    const char* name;
+    std::vector<std::pair<std::size_t, real_t>> edits;
+    std::uint64_t fp16_fallbacks;
+    std::uint64_t cg_fallbacks;
+    std::uint64_t failures;
+  };
+  const Case cases[] = {
+      {"healthy", {}, 0, 0, 0},
+      // 65520 is the first float that rounds past half::max() to inf.
+      {"offdiag_overflow", {{1, 65520.0f}, {10, 65520.0f}}, 1, 0, 0},
+      // A[9][9] is flat index 99: an overflow only the tail can see.
+      {"diag_overflow_tail", {{99, 70000.0f}}, 1, 0, 0},
+      // 1e-8 < 2^-25 rounds to a zero half: the ridge would vanish.
+      {"diag_flush_body", {{22, 1e-8f}}, 1, 0, 0},
+      {"diag_flush_tail", {{99, 1e-8f}}, 1, 0, 0},
+      {"input_inf", {{1, inf}, {10, inf}}, 0, 1, 1},
+      {"input_nan", {{33, nan}}, 0, 1, 1},
+  };
+  for (const auto path : {simd::KernelPath::scalar, simd::KernelPath::simd}) {
+    for (const auto& c : cases) {
+      const SolveStats s = fp16_pack_case(c.edits, path);
+      EXPECT_EQ(s.fp16_fallbacks, c.fp16_fallbacks)
+          << c.name << " on " << simd::to_string(path);
+      EXPECT_EQ(s.cg_fallbacks, c.cg_fallbacks)
+          << c.name << " on " << simd::to_string(path);
+      EXPECT_EQ(s.failures, c.failures)
+          << c.name << " on " << simd::to_string(path);
+    }
+  }
 }
 
 TEST(SolverDegradation, NanSystemFailsCleanlyAndRestoresX) {

@@ -11,7 +11,9 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <iterator>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -72,9 +74,8 @@ TEST(SimdVec, ArithmeticMatchesScalarLanewise) {
 TEST(SimdVec, DoubleAccumulatorSumsExactProducts) {
   const auto a = random_vec(8, 3);
   const auto b = random_vec(8, 4);
-  simd::vd4 acc = simd::vd4::zero();
-  acc.mul_acc_lo(simd::vf8::load(a.data()), simd::vf8::load(b.data()));
-  acc.mul_acc_hi(simd::vf8::load(a.data()), simd::vf8::load(b.data()));
+  simd::vd8 acc = simd::vd8::zero();
+  acc.mul_acc(simd::vf8::load(a.data()), simd::vf8::load(b.data()));
   // Each float×float product widened to double is exact, so the hsum must
   // equal the sequential double sum up to reassociation — which for 8 exact
   // terms of similar magnitude is below 1 double ulp of the total here.
@@ -104,6 +105,28 @@ TEST(SimdHalf, UnpackMatchesScalarForEveryPattern) {
       const float ref = half::to_float(bits[i]);
       EXPECT_EQ(std::bit_cast<std::uint32_t>(out[i]),
                 std::bit_cast<std::uint32_t>(ref))
+          << "half bits 0x" << std::hex << bits[i];
+    }
+  }
+}
+
+TEST(SimdHalf, WideningUnpackMatchesScalarOnceWidenedToDouble) {
+  // The CG gemv's unpack may leave signalling NaNs quiet because it widens
+  // every lane to double next; after that widening all 65536 patterns must
+  // give bitwise the doubles of half::to_float.
+  for (std::uint32_t base = 0; base < 0x10000; base += 8) {
+    std::uint16_t bits[8];
+    half src[8];
+    for (std::uint32_t i = 0; i < 8; ++i) {
+      bits[i] = static_cast<std::uint16_t>(base + i);
+      src[i] = half::from_bits(bits[i]);
+    }
+    float out[8];
+    half_to_float8_widening(src).store(out);
+    for (std::uint32_t i = 0; i < 8; ++i) {
+      const double ref = half::to_float(bits[i]);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(static_cast<double>(out[i])),
+                std::bit_cast<std::uint64_t>(ref))
           << "half bits 0x" << std::hex << bits[i];
     }
   }
@@ -256,6 +279,63 @@ CsrMatrix hermitian_fixture(index_t m, index_t n, std::uint64_t seed) {
   return CsrMatrix::from_coo(coo);
 }
 
+/// Ratings matrix whose row u has exactly lengths[u] non-zeros, on distinct
+/// random columns of n (so dedup cannot shorten a row).
+CsrMatrix hermitian_fixture_exact(const std::vector<index_t>& lengths,
+                                  index_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  RatingsCoo coo(static_cast<index_t>(lengths.size()), n);
+  std::vector<index_t> cols(n);
+  for (index_t u = 0; u < coo.rows(); ++u) {
+    for (index_t v = 0; v < n; ++v) {
+      cols[v] = v;
+    }
+    for (index_t k = 0; k < lengths[u]; ++k) {  // partial Fisher-Yates
+      const auto pick = k + static_cast<index_t>(rng.uniform_index(n - k));
+      std::swap(cols[k], cols[pick]);
+      coo.add(u, cols[k], static_cast<real_t>(rng.normal()));
+    }
+  }
+  coo.sort_and_dedup();
+  return CsrMatrix::from_coo(coo);
+}
+
+/// Runs every row of `r` through both kernel paths and asserts bitwise
+/// equal A_u and b_u.
+void expect_paths_bitwise_equal(const CsrMatrix& r, std::size_t f, int tile,
+                                int bin, bool fp16) {
+  Matrix theta(r.cols(), f);
+  als_init_factors(theta, 3.6, 41);
+  HermitianParams params;
+  params.tile = tile;
+  params.bin = bin;
+  params.fp16_staging = fp16;
+  HermitianWorkspace ws_scalar;
+  HermitianWorkspace ws_simd;
+  std::vector<real_t> a_scalar(f * f);
+  std::vector<real_t> a_simd(f * f);
+  std::vector<real_t> b_scalar(f);
+  std::vector<real_t> b_simd(f);
+  for (index_t u = 0; u < r.rows(); ++u) {
+    get_hermitian_row(r, theta, u, real_t{0.05f}, params, ws_scalar,
+                      a_scalar, b_scalar, simd::KernelPath::scalar);
+    get_hermitian_row(r, theta, u, real_t{0.05f}, params, ws_simd, a_simd,
+                      b_simd, simd::KernelPath::simd);
+    for (std::size_t i = 0; i < a_scalar.size(); ++i) {
+      ASSERT_EQ(std::bit_cast<std::uint32_t>(a_scalar[i]),
+                std::bit_cast<std::uint32_t>(a_simd[i]))
+          << "A mismatch at f=" << f << " tile=" << tile << " bin=" << bin
+          << " fp16=" << fp16 << " u=" << u << " i=" << i;
+    }
+    for (std::size_t i = 0; i < b_scalar.size(); ++i) {
+      ASSERT_EQ(std::bit_cast<std::uint32_t>(b_scalar[i]),
+                std::bit_cast<std::uint32_t>(b_simd[i]))
+          << "b mismatch at f=" << f << " tile=" << tile << " bin=" << bin
+          << " fp16=" << fp16 << " u=" << u << " i=" << i;
+    }
+  }
+}
+
 TEST(SimdHermitian, TiledKernelIsBitwiseIdenticalAcrossPaths) {
   struct Case {
     std::size_t f;
@@ -268,35 +348,24 @@ TEST(SimdHermitian, TiledKernelIsBitwiseIdenticalAcrossPaths) {
                        {100, 10}, {100, 20}};
   const auto r = hermitian_fixture(12, 120, 31);
   for (const auto& c : cases) {
-    Matrix theta(r.cols(), c.f);
-    als_init_factors(theta, 3.6, 41);
     for (const bool fp16 : {false, true}) {
-      HermitianParams params;
-      params.tile = c.tile;
-      params.fp16_staging = fp16;
-      HermitianWorkspace ws_scalar;
-      HermitianWorkspace ws_simd;
-      std::vector<real_t> a_scalar(c.f * c.f);
-      std::vector<real_t> a_simd(c.f * c.f);
-      std::vector<real_t> b_scalar(c.f);
-      std::vector<real_t> b_simd(c.f);
-      for (index_t u = 0; u < r.rows(); ++u) {
-        get_hermitian_row(r, theta, u, real_t{0.05f}, params, ws_scalar,
-                          a_scalar, b_scalar, simd::KernelPath::scalar);
-        get_hermitian_row(r, theta, u, real_t{0.05f}, params, ws_simd,
-                          a_simd, b_simd, simd::KernelPath::simd);
-        for (std::size_t i = 0; i < a_scalar.size(); ++i) {
-          ASSERT_EQ(std::bit_cast<std::uint32_t>(a_scalar[i]),
-                    std::bit_cast<std::uint32_t>(a_simd[i]))
-              << "A mismatch at f=" << c.f << " tile=" << c.tile
-              << " fp16=" << fp16 << " u=" << u << " i=" << i;
-        }
-        for (std::size_t i = 0; i < b_scalar.size(); ++i) {
-          ASSERT_EQ(std::bit_cast<std::uint32_t>(b_scalar[i]),
-                    std::bit_cast<std::uint32_t>(b_simd[i]))
-              << "b mismatch at f=" << c.f << " tile=" << c.tile
-              << " fp16=" << fp16 << " u=" << u << " i=" << i;
-        }
+      expect_paths_bitwise_equal(r, c.f, c.tile, 32, fp16);
+    }
+  }
+
+  // Row lengths around every batch boundary — nnz = 1, nnz > BIN with a
+  // short last batch, exact multiples of BIN — for BIN ∈ {1, 7, 32}, and f
+  // whose lower-triangle rows are not multiples of 8 or 32 long (f=10 and
+  // f=36 end in a partial vector; f=96 in a partial 32-float panel).
+  const Case odd_cases[] = {{10, 10}, {36, 12}, {96, 8}};
+  const auto exact = hermitian_fixture_exact(
+      {0, 1, 1, 2, 7, 8, 14, 31, 32, 33, 64, 65, 101}, 120, 37);
+  std::vector<Case> all(std::begin(cases), std::end(cases));
+  all.insert(all.end(), std::begin(odd_cases), std::end(odd_cases));
+  for (const int bin : {1, 7, 32}) {
+    for (const auto& c : all) {
+      for (const bool fp16 : {false, true}) {
+        expect_paths_bitwise_equal(exact, c.f, c.tile, bin, fp16);
       }
     }
   }
