@@ -1,9 +1,9 @@
 // CRC-32 (IEEE 802.3, polynomial 0xEDB88320) over byte ranges.
 //
-// Used by the checkpoint format (src/data/checkpoint.*) to detect torn or
-// bit-rotted files before any field is trusted. Table-driven, one byte per
-// step — checkpoints are written once per epoch, so throughput is not a
-// concern; what matters is that the checksum is standard (verifiable with
+// Used by the framed-file codec (src/data/framed.*) behind checkpoints,
+// shard files and tuned configs to detect torn or bit-rotted files before
+// any field is trusted. Table-driven, one byte per step; what matters is
+// that the checksum is standard (verifiable with
 // `python3 -c 'import zlib; print(hex(zlib.crc32(data)))'`).
 #pragma once
 

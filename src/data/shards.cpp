@@ -1,15 +1,12 @@
 #include "data/shards.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <utility>
 
-#include "common/crc32.hpp"
 #include "common/rng.hpp"
 #include "data/atomic_file.hpp"
 #include "sparse/partition.hpp"
@@ -26,139 +23,6 @@
 namespace cumf {
 namespace {
 
-[[noreturn]] void reject(ShardReject reason, const std::string& detail) {
-  throw ShardError(reason,
-                   std::string("shard ") + to_string(reason) + ": " + detail);
-}
-
-/// Appends fixed-width scalars in native (little-endian) byte order — the
-/// same discipline as the checkpoint writer.
-class ByteWriter {
- public:
-  explicit ByteWriter(std::string& out) : out_(out) {}
-
-  template <typename T>
-  void put(T value) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    const auto* bytes = reinterpret_cast<const char*>(&value);
-    out_.append(bytes, sizeof(T));
-  }
-
-  void put_f32(float v) { put(std::bit_cast<std::uint32_t>(v)); }
-  void put_f64(double v) { put(std::bit_cast<std::uint64_t>(v)); }
-
- private:
-  std::string& out_;
-};
-
-/// Bounds-checked cursor over a payload; any overrun is a torn write.
-class ByteReader {
- public:
-  explicit ByteReader(std::string_view buf) : buf_(buf) {}
-
-  template <typename T>
-  T get() {
-    static_assert(std::is_trivially_copyable_v<T>);
-    if (buf_.size() - pos_ < sizeof(T)) {
-      reject(ShardReject::truncated, "payload ends mid-field");
-    }
-    T value;
-    std::memcpy(&value, buf_.data() + pos_, sizeof(T));
-    pos_ += sizeof(T);
-    return value;
-  }
-
-  float get_f32() { return std::bit_cast<float>(get<std::uint32_t>()); }
-  double get_f64() { return std::bit_cast<double>(get<std::uint64_t>()); }
-
-  /// Caps a stored element count by what the remaining payload can hold, so
-  /// a corrupted-but-CRC-valid count never becomes a huge allocation.
-  std::uint64_t get_count(std::size_t elem_bytes) {
-    const auto n = get<std::uint64_t>();
-    if (n > remaining() / elem_bytes) {
-      reject(ShardReject::malformed, "element count exceeds payload size");
-    }
-    return n;
-  }
-
-  std::size_t remaining() const noexcept { return buf_.size() - pos_; }
-
- private:
-  std::string_view buf_;
-  std::size_t pos_ = 0;
-};
-
-std::string frame(std::string_view magic, std::string_view payload) {
-  std::string out;
-  out.reserve(magic.size() + 16 + payload.size());
-  out.append(magic);
-  ByteWriter w(out);
-  w.put(kShardVersion);
-  w.put<std::uint64_t>(payload.size());
-  out.append(payload);
-  w.put(crc32(0, payload.data(), payload.size()));
-  return out;
-}
-
-/// Validates magic/version/length/CRC and returns a view of the payload.
-std::string_view unframe(std::string_view magic, std::string_view bytes,
-                         const std::string& what) {
-  constexpr std::size_t kHeader = 8 + 4 + 8;  // magic + version + length
-  if (bytes.size() < kHeader) {
-    if (bytes.substr(0, magic.size()) !=
-        magic.substr(0, std::min(bytes.size(), magic.size()))) {
-      reject(ShardReject::bad_magic, what + " shorter than the magic");
-    }
-    reject(ShardReject::truncated, what + " shorter than the header");
-  }
-  if (bytes.substr(0, magic.size()) != magic) {
-    reject(ShardReject::bad_magic,
-           what + " expected leading \"" + std::string(magic) + "\"");
-  }
-  std::uint32_t version = 0;
-  std::memcpy(&version, bytes.data() + 8, sizeof(version));
-  if (version != kShardVersion) {
-    reject(ShardReject::version_skew,
-           what + " version " + std::to_string(version) +
-               ", reader supports " + std::to_string(kShardVersion));
-  }
-  std::uint64_t payload_len = 0;
-  std::memcpy(&payload_len, bytes.data() + 12, sizeof(payload_len));
-  if (bytes.size() - kHeader < payload_len ||
-      bytes.size() - kHeader - payload_len < sizeof(std::uint32_t)) {
-    reject(ShardReject::truncated,
-           what + " promises " + std::to_string(payload_len) +
-               " payload bytes, file has " +
-               std::to_string(bytes.size() - kHeader));
-  }
-  const std::string_view payload = bytes.substr(kHeader, payload_len);
-  std::uint32_t stored_crc = 0;
-  std::memcpy(&stored_crc, bytes.data() + kHeader + payload_len,
-              sizeof(stored_crc));
-  if (stored_crc != crc32(0, payload.data(), payload.size())) {
-    reject(ShardReject::bad_crc, what + " stored CRC does not match payload");
-  }
-  return payload;
-}
-
-void read_whole_file(const std::string& path, std::string& out) {
-  out.clear();
-  std::FILE* file = std::fopen(path.c_str(), "rb");
-  if (file == nullptr) {
-    reject(ShardReject::io, "cannot open '" + path + "'");
-  }
-  char buf[1 << 16];
-  std::size_t got = 0;
-  while ((got = std::fread(buf, 1, sizeof(buf), file)) > 0) {
-    out.append(buf, got);
-  }
-  const bool read_error = std::ferror(file) != 0;
-  std::fclose(file);
-  if (read_error) {
-    reject(ShardReject::io, "read error on '" + path + "'");
-  }
-}
-
 #ifdef CUMF_HAVE_MMAP
 /// RAII read-only mapping of a whole file. `valid()` is false (not fatal)
 /// when the file cannot be mapped — the caller falls back to reads.
@@ -167,12 +31,14 @@ class MappedFile {
   explicit MappedFile(const std::string& path) {
     const int fd = ::open(path.c_str(), O_RDONLY);
     if (fd < 0) {
-      reject(ShardReject::io, "cannot open '" + path + "'");
+      throw FrameError(FrameReject::io, "file '" + path + "'",
+                       "cannot open");
     }
     struct stat st {};
     if (::fstat(fd, &st) != 0 || st.st_size < 0) {
       ::close(fd);
-      reject(ShardReject::io, "cannot stat '" + path + "'");
+      throw FrameError(FrameReject::io, "file '" + path + "'",
+                       "cannot stat");
     }
     size_ = static_cast<std::size_t>(st.st_size);
     if (size_ > 0) {
@@ -219,13 +85,12 @@ std::string render_tile_payload(const CsrTile& tile) {
   return payload;
 }
 
-CsrTile parse_tile_payload(std::string_view payload,
-                           const std::string& what) {
-  ByteReader r(payload);
+CsrTile parse_tile(std::string_view bytes, const std::string& what) {
+  ByteReader r(unframe(kTileMagic, kShardVersion, bytes, what), what);
   CsrTile tile;
   const auto view_raw = r.get<std::uint8_t>();
   if (view_raw > 1) {
-    reject(ShardReject::malformed, what + " has an unknown view tag");
+    throw FrameError(FrameReject::malformed, what, "unknown view tag");
   }
   tile.view = static_cast<TileView>(view_raw);
   tile.index = r.get<std::uint32_t>();
@@ -233,13 +98,14 @@ CsrTile parse_tile_payload(std::string_view payload,
   tile.row_end = r.get<std::uint32_t>();
   const auto cols = r.get<std::uint32_t>();
   if (tile.row_end < tile.row_begin) {
-    reject(ShardReject::malformed, what + " has an inverted row range");
+    throw FrameError(FrameReject::malformed, what, "inverted row range");
   }
   const index_t rows = tile.row_end - tile.row_begin;
   const auto nnz = r.get_count(sizeof(std::uint64_t));
   if (static_cast<std::uint64_t>(rows) + 1 >
       r.remaining() / sizeof(std::uint64_t)) {
-    reject(ShardReject::malformed, what + " row count exceeds payload size");
+    throw FrameError(FrameReject::malformed, what,
+                     "row count exceeds payload size");
   }
   std::vector<nnz_t> row_ptr;
   row_ptr.reserve(static_cast<std::size_t>(rows) + 1);
@@ -257,7 +123,7 @@ CsrTile parse_tile_payload(std::string_view payload,
     values.push_back(r.get_f32());
   }
   if (r.remaining() != 0) {
-    reject(ShardReject::malformed, what + " has trailing bytes");
+    throw FrameError(FrameReject::malformed, what, "trailing bytes");
   }
   try {
     // from_parts re-validates the structural invariants (monotone row_ptr
@@ -266,7 +132,7 @@ CsrTile parse_tile_payload(std::string_view payload,
     tile.csr = CsrMatrix::from_parts(rows, cols, std::move(row_ptr),
                                      std::move(col_idx), std::move(values));
   } catch (const CheckError& e) {
-    reject(ShardReject::malformed, what + ": " + e.what());
+    throw FrameError(FrameReject::malformed, what, e.what());
   }
   return tile;
 }
@@ -311,8 +177,8 @@ std::string render_meta_payload(const ShardMeta& meta) {
   return payload;
 }
 
-ShardMeta parse_meta_payload(std::string_view payload) {
-  ByteReader r(payload);
+ShardMeta parse_meta(std::string_view bytes, const std::string& what) {
+  ByteReader r(unframe(kShardMetaMagic, kShardVersion, bytes, what), what);
   ShardMeta meta;
   meta.rows = r.get<std::uint32_t>();
   meta.cols = r.get<std::uint32_t>();
@@ -324,7 +190,7 @@ ShardMeta parse_meta_payload(std::string_view payload) {
   meta.row_tiles = get_tile_table(r);
   meta.col_tiles = get_tile_table(r);
   if (r.remaining() != 0) {
-    reject(ShardReject::malformed, "meta has trailing bytes");
+    throw FrameError(FrameReject::malformed, what, "trailing bytes");
   }
   return meta;
 }
@@ -343,8 +209,8 @@ std::string render_test_payload(const RatingsCoo& test) {
   return payload;
 }
 
-RatingsCoo parse_test_payload(std::string_view payload) {
-  ByteReader r(payload);
+RatingsCoo parse_test(std::string_view bytes, const std::string& what) {
+  ByteReader r(unframe(kShardTestMagic, kShardVersion, bytes, what), what);
   const auto rows = r.get<std::uint32_t>();
   const auto cols = r.get<std::uint32_t>();
   const auto nnz = r.get_count(12);  // u, v, f32 bits per entry
@@ -355,12 +221,13 @@ RatingsCoo parse_test_payload(std::string_view payload) {
     const auto v = r.get<std::uint32_t>();
     const float val = r.get_f32();
     if (u >= rows || v >= cols) {
-      reject(ShardReject::malformed, "test entry index out of range");
+      throw FrameError(FrameReject::malformed, what,
+                       "entry index out of range");
     }
     test.add(u, v, val);
   }
   if (r.remaining() != 0) {
-    reject(ShardReject::malformed, "test set has trailing bytes");
+    throw FrameError(FrameReject::malformed, what, "trailing bytes");
   }
   return test;
 }
@@ -398,7 +265,8 @@ std::vector<TileRange> write_view_tiles(const std::string& dir,
     tile.csr = CsrMatrix::from_parts(end - begin, csr.cols(),
                                      std::move(row_ptr), std::move(col_idx),
                                      std::move(values));
-    const std::string bytes = frame(kTileMagic, render_tile_payload(tile));
+    const std::string bytes =
+        frame(kTileMagic, kShardVersion, render_tile_payload(tile));
     atomic_write_file(tile_path(dir, view, t), bytes);
     table.push_back(TileRange{begin, end, tile.csr.nnz(),
                               static_cast<std::uint64_t>(bytes.size())});
@@ -407,26 +275,6 @@ std::vector<TileRange> write_view_tiles(const std::string& dir,
 }
 
 }  // namespace
-
-const char* to_string(ShardReject reason) {
-  switch (reason) {
-    case ShardReject::io:
-      return "unreadable";
-    case ShardReject::bad_magic:
-      return "not a cumf shard file (bad magic)";
-    case ShardReject::version_skew:
-      return "incompatible format version";
-    case ShardReject::truncated:
-      return "truncated (torn write?)";
-    case ShardReject::bad_crc:
-      return "corrupted (CRC mismatch)";
-    case ShardReject::malformed:
-      return "malformed payload";
-    case ShardReject::mismatch:
-      return "belongs to a different tile or shard store";
-  }
-  return "unknown rejection";
-}
 
 const char* to_string(TileView view) {
   return view == TileView::by_row ? "by_row" : "by_col";
@@ -482,11 +330,13 @@ ShardMeta write_shards(const std::string& dir, const RatingsCoo& all,
   const std::string test_file =
       (std::filesystem::path(dir) / kShardTestFile).string();
   atomic_write_file(test_file,
-                    frame(kShardTestMagic, render_test_payload(split.test)));
+                    frame(kShardTestMagic, kShardVersion,
+                          render_test_payload(split.test)));
   const std::string meta_file =
       (std::filesystem::path(dir) / kShardMetaFile).string();
   atomic_write_file(meta_file,
-                    frame(kShardMetaMagic, render_meta_payload(meta)));
+                    frame(kShardMetaMagic, kShardVersion,
+                          render_meta_payload(meta)));
   return meta;
 }
 
@@ -494,16 +344,16 @@ ShardMeta read_shard_meta(const std::string& dir) {
   const std::string path =
       (std::filesystem::path(dir) / kShardMetaFile).string();
   std::string bytes;
-  read_whole_file(path, bytes);
-  return parse_meta_payload(unframe(kShardMetaMagic, bytes, "meta"));
+  read_file(path, bytes);
+  return parse_meta(bytes, "shard meta '" + path + "'");
 }
 
 RatingsCoo read_shard_test(const std::string& dir) {
   const std::string path =
       (std::filesystem::path(dir) / kShardTestFile).string();
   std::string bytes;
-  read_whole_file(path, bytes);
-  return parse_test_payload(unframe(kShardTestMagic, bytes, "test set"));
+  read_file(path, bytes);
+  return parse_test(bytes, "shard test set '" + path + "'");
 }
 
 CsrTile load_tile(const std::string& dir, TileView view, std::size_t index,
@@ -512,33 +362,31 @@ CsrTile load_tile(const std::string& dir, TileView view, std::size_t index,
   const std::string path = tile_path(dir, view, index);
   const std::string what = "tile '" + path + "'";
   CsrTile tile;
+  bool parsed = false;
 #ifdef CUMF_HAVE_MMAP
   if (use_mmap) {
     MappedFile map(path);
     if (map.valid()) {
-      tile = parse_tile_payload(unframe(kTileMagic, map.view(), what), what);
-    } else {
-      std::string local;
-      std::string& buf = staging != nullptr ? *staging : local;
-      read_whole_file(path, buf);
-      tile = parse_tile_payload(unframe(kTileMagic, buf, what), what);
+      tile = parse_tile(map.view(), what);  // unframe views the mapping
+      parsed = true;
     }
-  } else
+  }
 #else
   (void)use_mmap;
 #endif
-  {
+  if (!parsed) {
     std::string local;
     std::string& buf = staging != nullptr ? *staging : local;
-    read_whole_file(path, buf);
-    tile = parse_tile_payload(unframe(kTileMagic, buf, what), what);
+    read_file(path, buf);
+    tile = parse_tile(buf, what);
   }
   if (tile.view != view || tile.index != index ||
       tile.row_begin != expected.row_begin ||
       tile.row_end != expected.row_end || tile.csr.nnz() != expected.nnz) {
-    reject(ShardReject::mismatch,
-           what + " is valid but does not match the meta table entry (" +
-               to_string(view) + " #" + std::to_string(index) + ")");
+    throw FrameError(FrameReject::mismatch, what,
+                     "valid, but does not match the meta table entry (" +
+                         std::string(to_string(view)) + " #" +
+                         std::to_string(index) + ")");
   }
   return tile;
 }

@@ -5,19 +5,12 @@
 // ranges of both views (R for update-X, Rᵀ for update-Θ) and writes one
 // framed file per tile, the held-out test set, and a meta file carrying the
 // run fingerprint the out-of-core engine needs to start bit-identically to
-// an in-core run (shape, exact mean, seed, tile tables). Every file uses
-// the checkpoint framing discipline:
-//
-//   [0..8)   magic ("CUMFTILE" / "CUMFSHRD" / "CUMFTEST")
-//   [8..12)  u32 format version (kShardVersion)
-//   [12..20) u64 payload length
-//   [20..20+len) payload
-//   [..+4)   u32 CRC-32 of the payload
-//
-// written through atomic_write_file, so a crash mid-shard never leaves a
-// half-written tile under a valid name. The reader memory-maps each tile,
-// verifies the CRC before trusting a byte, and rejects damage with a named
-// ShardReject reason (same taxonomy as CkptReject).
+// an in-core run (shape, exact mean, seed, tile tables). Every file is one
+// frame of the shared codec (data/framed.hpp) under magic "CUMFTILE",
+// "CUMFSHRD" or "CUMFTEST", written through atomic_write_file, so a crash
+// mid-shard never leaves a half-written tile under a valid name. The reader
+// memory-maps each tile, verifies the CRC before trusting a byte, and
+// rejects damage with a FrameError naming the FrameReject reason.
 #pragma once
 
 #include <cstdint>
@@ -30,7 +23,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/check.hpp"
+#include "data/framed.hpp"
 #include "sparse/coo.hpp"
 #include "sparse/csr.hpp"
 
@@ -42,31 +35,6 @@ inline constexpr std::string_view kShardTestMagic = "CUMFTEST";
 inline constexpr std::uint32_t kShardVersion = 1;
 inline constexpr std::string_view kShardMetaFile = "shard-meta.bin";
 inline constexpr std::string_view kShardTestFile = "test.bin";
-
-/// Why a shard file was rejected (mirrors CkptReject so CLI diagnostics
-/// read the same for both artifact families).
-enum class ShardReject {
-  io,            ///< cannot open/read the file at all
-  bad_magic,     ///< not a cumf shard/tile file
-  version_skew,  ///< written by an incompatible format version
-  truncated,     ///< shorter than its header promises (torn write)
-  bad_crc,       ///< payload checksum mismatch (corruption)
-  malformed,     ///< CRC passed but the payload doesn't parse
-  mismatch,      ///< valid file, but not the tile/meta the caller asked for
-};
-
-const char* to_string(ShardReject reason);
-
-/// Thrown on any rejected shard file; carries the machine-readable reason.
-class ShardError : public CheckError {
- public:
-  ShardError(ShardReject reason, const std::string& what)
-      : CheckError(what), reason_(reason) {}
-  ShardReject reason() const noexcept { return reason_; }
-
- private:
-  ShardReject reason_;
-};
 
 /// Which half-sweep a tile feeds: rows of R (update-X) or rows of Rᵀ
 /// (update-Θ).
@@ -139,10 +107,10 @@ std::string tile_path(const std::string& dir, TileView view,
 /// True when `dir` contains a shard meta file (cumf_train's auto-detect).
 bool is_shard_dir(const std::string& dir);
 
-/// Reads and validates DIR/shard-meta.bin; throws ShardError.
+/// Reads and validates DIR/shard-meta.bin; throws FrameError.
 ShardMeta read_shard_meta(const std::string& dir);
 
-/// Reads and validates DIR/test.bin; throws ShardError.
+/// Reads and validates DIR/test.bin; throws FrameError.
 RatingsCoo read_shard_test(const std::string& dir);
 
 /// Loads one tile: maps (or reads) the file, checks magic/version/CRC,
@@ -175,7 +143,7 @@ class TileCache {
  public:
   TileCache(std::string dir, ShardMeta meta, const TileCacheOptions& options);
 
-  /// Returns the tile, loading it on a miss. Throws ShardError on damage.
+  /// Returns the tile, loading it on a miss. Throws FrameError on damage.
   std::shared_ptr<const CsrTile> get(TileView view, std::size_t index);
 
   struct Stats {

@@ -4,17 +4,16 @@
 #include <cctype>
 #include <charconv>
 #include <cmath>
-#include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <map>
 #include <set>
+#include <type_traits>
 #include <utility>
 
-#include "common/crc32.hpp"
 #include "common/stopwatch.hpp"
 #include "common/thread_pool.hpp"
 #include "data/atomic_file.hpp"
+#include "data/framed.hpp"
 #include "gpusim/interconnect.hpp"
 #include "gpusim/occupancy.hpp"
 #include "metrics/rmse.hpp"
@@ -394,26 +393,6 @@ std::vector<prof::Verdict> winner_verdicts(ModelContext& ctx,
 
 }  // namespace
 
-const char* to_string(TuneReject reason) {
-  switch (reason) {
-    case TuneReject::io:
-      return "io";
-    case TuneReject::bad_magic:
-      return "bad_magic";
-    case TuneReject::version_skew:
-      return "version_skew";
-    case TuneReject::truncated:
-      return "truncated";
-    case TuneReject::bad_crc:
-      return "bad_crc";
-    case TuneReject::malformed:
-      return "malformed";
-    case TuneReject::mismatch:
-      return "mismatch";
-  }
-  return "unknown";
-}
-
 std::vector<TuneChoice> enumerate_grid(const TuneRequest& req) {
   std::vector<TuneChoice> out;
   std::set<std::string> seen;
@@ -709,25 +688,6 @@ TunedConfig tune(const TuneRequest& req, const TuneInput& input,
 
 namespace {
 
-void append_u32(std::string& out, std::uint32_t v) {
-  char buf[sizeof v];
-  std::memcpy(buf, &v, sizeof v);
-  out.append(buf, sizeof v);
-}
-
-void append_u64(std::string& out, std::uint64_t v) {
-  char buf[sizeof v];
-  std::memcpy(buf, &v, sizeof v);
-  out.append(buf, sizeof v);
-}
-
-template <class T>
-T read_le(std::string_view bytes, std::size_t offset) {
-  T v;
-  std::memcpy(&v, bytes.data() + offset, sizeof v);
-  return v;
-}
-
 // -- a minimal JSON reader, just enough for our own writer's output --
 
 struct JsonValue {
@@ -749,9 +709,10 @@ struct JsonValue {
   }
 };
 
+constexpr std::string_view kWhat = "tuned config";
+
 [[noreturn]] void malformed(const std::string& why) {
-  throw TuneError(TuneReject::malformed,
-                  "malformed tuned-config payload: " + why);
+  throw FrameError(FrameReject::malformed, kWhat, why);
 }
 
 void skip_ws(std::string_view s, std::size_t& pos) {
@@ -943,6 +904,23 @@ double require_number(const JsonValue& obj, std::string_view key) {
   return v->num;
 }
 
+/// require_number narrowed to T. An out-of-range value is malformed: the
+/// conversion itself would be undefined.
+template <class T>
+T require_as(const JsonValue& obj, std::string_view key) {
+  const double v = require_number(obj, key);
+  using Limits = std::numeric_limits<T>;
+  const bool in_range =
+      std::is_integral_v<T>
+          ? v > static_cast<double>(Limits::lowest()) - 1.0 &&
+                v < static_cast<double>(Limits::max()) + 1.0
+          : std::abs(v) <= static_cast<double>(Limits::max());
+  if (!in_range) {
+    malformed("field '" + std::string(key) + "' out of range");
+  }
+  return static_cast<T>(v);
+}
+
 std::string require_string(const JsonValue& obj, std::string_view key) {
   const JsonValue* v = obj.find(key);
   if (v == nullptr || v->kind != JsonValue::Kind::string) {
@@ -1064,44 +1042,12 @@ std::string tuned_config_payload(const TunedConfig& config) {
 }
 
 std::string serialize_tuned_config(const TunedConfig& config) {
-  const std::string payload = tuned_config_payload(config);
-  std::string out;
-  out.reserve(payload.size() + 24);
-  out.append(kTuneMagic);
-  append_u32(out, config.version);
-  append_u64(out, payload.size());
-  out.append(payload);
-  append_u32(out, crc32(payload));
-  return out;
+  return frame(kTuneMagic, config.version, tuned_config_payload(config));
 }
 
 TunedConfig parse_tuned_config(std::string_view bytes) {
-  constexpr std::size_t kHeader = 8 + 4 + 8;
-  if (bytes.size() < kHeader) {
-    throw TuneError(TuneReject::truncated,
-                    "tuned config shorter than its header");
-  }
-  if (bytes.substr(0, kTuneMagic.size()) != kTuneMagic) {
-    throw TuneError(TuneReject::bad_magic, "not a cumf tuned-config file");
-  }
-  const auto version = read_le<std::uint32_t>(bytes, 8);
-  if (version != kTuneVersion) {
-    throw TuneError(TuneReject::version_skew,
-                    "tuned-config version " + std::to_string(version) +
-                        " != supported " + std::to_string(kTuneVersion));
-  }
-  const auto length = read_le<std::uint64_t>(bytes, 12);
-  if (bytes.size() < kHeader + length + 4) {
-    throw TuneError(TuneReject::truncated,
-                    "tuned config shorter than its header promises");
-  }
-  const std::string_view payload = bytes.substr(kHeader, length);
-  const auto stored = read_le<std::uint32_t>(bytes, kHeader + length);
-  if (crc32(payload) != stored) {
-    throw TuneError(TuneReject::bad_crc,
-                    "tuned-config payload checksum mismatch");
-  }
-
+  const std::string_view payload =
+      unframe(kTuneMagic, kTuneVersion, bytes, kWhat);
   const JsonValue root = parse_json(payload);
   if (root.kind != JsonValue::Kind::object) {
     malformed("payload is not a JSON object");
@@ -1110,28 +1056,21 @@ TunedConfig parse_tuned_config(std::string_view bytes) {
     malformed("wrong payload type");
   }
   TunedConfig config;
-  config.version =
-      static_cast<std::uint32_t>(require_number(root, "version"));
+  config.version = require_as<std::uint32_t>(root, "version");
 
   const JsonValue& fp = require_object(root, "fingerprint");
   config.fingerprint.device = require_string(fp, "device");
-  config.fingerprint.rows =
-      static_cast<std::uint32_t>(require_number(fp, "rows"));
-  config.fingerprint.cols =
-      static_cast<std::uint32_t>(require_number(fp, "cols"));
-  config.fingerprint.nnz =
-      static_cast<std::uint64_t>(require_number(fp, "nnz"));
-  config.fingerprint.f =
-      static_cast<std::uint32_t>(require_number(fp, "f"));
-  config.fingerprint.lambda =
-      static_cast<float>(require_number(fp, "lambda"));
+  config.fingerprint.rows = require_as<std::uint32_t>(fp, "rows");
+  config.fingerprint.cols = require_as<std::uint32_t>(fp, "cols");
+  config.fingerprint.nnz = require_as<std::uint64_t>(fp, "nnz");
+  config.fingerprint.f = require_as<std::uint32_t>(fp, "f");
+  config.fingerprint.lambda = require_as<float>(fp, "lambda");
 
   const JsonValue& ch = require_object(root, "choice");
-  config.choice.tile = static_cast<int>(require_number(ch, "tile"));
-  config.choice.bin = static_cast<int>(require_number(ch, "bin"));
+  config.choice.tile = require_as<int>(ch, "tile");
+  config.choice.bin = require_as<int>(ch, "bin");
   config.choice.solver = solver_from_json(require_string(ch, "solver"));
-  config.choice.fs =
-      static_cast<std::uint32_t>(require_number(ch, "fs"));
+  config.choice.fs = require_as<std::uint32_t>(ch, "fs");
   const std::string schedule = require_string(ch, "schedule");
   const auto sched = schedule_from_name(schedule);
   if (!sched) {
@@ -1146,11 +1085,11 @@ TunedConfig parse_tuned_config(std::string_view bytes) {
   } else {
     malformed("unknown kernel path '" + path + "'");
   }
-  config.choice.workers = static_cast<int>(require_number(ch, "workers"));
-  config.choice.gpus = static_cast<int>(require_number(ch, "gpus"));
+  config.choice.workers = require_as<int>(ch, "workers");
+  config.choice.gpus = require_as<int>(ch, "gpus");
   config.choice.link = require_string(ch, "link");
   config.choice.ooc_host_bytes =
-      static_cast<std::uint64_t>(require_number(ch, "ooc_host_bytes"));
+      require_as<std::uint64_t>(ch, "ooc_host_bytes");
   if (config.choice.tile < 1 || config.choice.bin < 1 ||
       config.choice.fs < 1 || config.choice.workers < 1 ||
       config.choice.gpus < 1) {
@@ -1165,12 +1104,9 @@ TunedConfig parse_tuned_config(std::string_view bytes) {
     config.probe_rmse = r->num;
   }
   const JsonValue& search = require_object(root, "search");
-  config.candidates =
-      static_cast<std::uint64_t>(require_number(search, "candidates"));
-  config.pruned =
-      static_cast<std::uint64_t>(require_number(search, "pruned"));
-  config.finalists =
-      static_cast<std::uint64_t>(require_number(search, "finalists"));
+  config.candidates = require_as<std::uint64_t>(search, "candidates");
+  config.pruned = require_as<std::uint64_t>(search, "pruned");
+  config.finalists = require_as<std::uint64_t>(search, "finalists");
 
   const JsonValue* verdicts = root.find("verdicts");
   if (verdicts == nullptr || verdicts->kind != JsonValue::Kind::array) {
@@ -1204,15 +1140,8 @@ void write_tuned_config_file(const std::string& path,
 }
 
 TunedConfig read_tuned_config_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.good()) {
-    throw TuneError(TuneReject::io, "cannot open tuned config: " + path);
-  }
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-  if (in.bad()) {
-    throw TuneError(TuneReject::io, "cannot read tuned config: " + path);
-  }
+  std::string bytes;
+  read_file(path, bytes);
   return parse_tuned_config(bytes);
 }
 
@@ -1224,10 +1153,10 @@ TunedConfig load_tuned_config(const std::string& path_or_dir,
             tuned_config_filename(expected))
                .string();
     if (!std::filesystem::exists(path)) {
-      throw TuneError(TuneReject::io,
-                      "no tuned config for this device x dataset in " +
-                          path_or_dir + " (expected " +
-                          tuned_config_filename(expected) + ")");
+      throw FrameError(FrameReject::io, kWhat,
+                       "none for this device x dataset in " + path_or_dir +
+                           " (expected " + tuned_config_filename(expected) +
+                           ")");
     }
   }
   TunedConfig config = read_tuned_config_file(path);
@@ -1250,8 +1179,8 @@ TunedConfig load_tuned_config(const std::string& path_or_dir,
     why = "lambda differs";
   }
   if (!why.empty()) {
-    throw TuneError(TuneReject::mismatch,
-                    "tuned config fingerprint mismatch: " + why);
+    throw FrameError(FrameReject::mismatch, kWhat,
+                     "fingerprint mismatch: " + why);
   }
   return config;
 }

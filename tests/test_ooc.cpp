@@ -11,6 +11,7 @@
 #include <filesystem>
 #include <fstream>
 #include <ostream>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -22,6 +23,7 @@
 #include "data/generator.hpp"
 #include "data/shards.hpp"
 #include "sparse/split.hpp"
+#include "framed_testing.hpp"
 
 namespace cumf {
 namespace {
@@ -151,14 +153,14 @@ class ShardRejectTest : public ::testing::Test {
     tile_ = tile_path(dir_, TileView::by_row, 0);
   }
 
-  ShardReject load_reason() {
+  FrameReject load_reason() {
     try {
       load_tile(dir_, TileView::by_row, 0, meta_.row_tiles[0]);
-    } catch (const ShardError& e) {
+    } catch (const FrameError& e) {
       return e.reason();
     }
     ADD_FAILURE() << "tile unexpectedly accepted";
-    return ShardReject::io;
+    return FrameReject::io;
   }
 
   std::string dir_;
@@ -170,20 +172,22 @@ TEST_F(ShardRejectTest, PayloadCorruptionIsBadCrc) {
   std::string bytes = read_file(tile_);
   bytes[bytes.size() / 2] ^= 0x5a;  // mid-payload bit flips
   write_file(tile_, bytes);
-  EXPECT_EQ(load_reason(), ShardReject::bad_crc);
+  EXPECT_EQ(load_reason(), FrameReject::bad_crc);
 }
 
 TEST_F(ShardRejectTest, WrongMagicIsBadMagic) {
   std::string bytes = read_file(tile_);
   bytes.replace(0, 8, "NOTATILE");
   write_file(tile_, bytes);
-  EXPECT_EQ(load_reason(), ShardReject::bad_magic);
+  EXPECT_EQ(load_reason(), FrameReject::bad_magic);
 }
 
 TEST_F(ShardRejectTest, TornWriteIsTruncated) {
   const std::string bytes = read_file(tile_);
   write_file(tile_, bytes.substr(0, bytes.size() / 2));
-  EXPECT_EQ(load_reason(), ShardReject::truncated);
+  EXPECT_EQ(load_reason(), FrameReject::truncated);
+  write_file(tile_, with_hostile_length(bytes));
+  EXPECT_EQ(load_reason(), FrameReject::truncated);
 }
 
 TEST_F(ShardRejectTest, FutureVersionIsVersionSkew) {
@@ -191,7 +195,7 @@ TEST_F(ShardRejectTest, FutureVersionIsVersionSkew) {
   const std::uint32_t future = kShardVersion + 1;
   std::memcpy(bytes.data() + 8, &future, sizeof(future));
   write_file(tile_, bytes);
-  EXPECT_EQ(load_reason(), ShardReject::version_skew);
+  EXPECT_EQ(load_reason(), FrameReject::version_skew);
 }
 
 TEST_F(ShardRejectTest, ValidButWrongTileIsMismatch) {
@@ -200,7 +204,7 @@ TEST_F(ShardRejectTest, ValidButWrongTileIsMismatch) {
   std::filesystem::copy_file(
       tile_path(dir_, TileView::by_row, 1), tile_,
       std::filesystem::copy_options::overwrite_existing);
-  EXPECT_EQ(load_reason(), ShardReject::mismatch);
+  EXPECT_EQ(load_reason(), FrameReject::mismatch);
 }
 
 TEST_F(ShardRejectTest, CrcValidGarbagePayloadIsMalformed) {
@@ -212,20 +216,25 @@ TEST_F(ShardRejectTest, CrcValidGarbagePayloadIsMalformed) {
   const std::uint32_t fixed = crc32(0, bytes.data() + 20, payload_len);
   std::memcpy(bytes.data() + bytes.size() - 4, &fixed, sizeof(fixed));
   write_file(tile_, bytes);
-  EXPECT_EQ(load_reason(), ShardReject::malformed);
+  EXPECT_EQ(load_reason(), FrameReject::malformed);
 }
 
 TEST_F(ShardRejectTest, MissingFileIsIo) {
   std::filesystem::remove(tile_);
-  EXPECT_EQ(load_reason(), ShardReject::io);
+  EXPECT_EQ(load_reason(), FrameReject::io);
 }
 
 TEST_F(ShardRejectTest, ReasonsAreNamed) {
-  EXPECT_STREQ(to_string(ShardReject::bad_crc), "corrupted (CRC mismatch)");
-  EXPECT_STREQ(to_string(ShardReject::version_skew),
-               "incompatible format version");
-  EXPECT_STREQ(to_string(ShardReject::mismatch),
-               "belongs to a different tile or shard store");
+  // Every reason has its own id; none falls through to "unknown".
+  std::set<std::string> ids;
+  for (const FrameReject reason :
+       {FrameReject::io, FrameReject::bad_magic, FrameReject::version_skew,
+        FrameReject::truncated, FrameReject::bad_crc, FrameReject::malformed,
+        FrameReject::mismatch}) {
+    EXPECT_STRNE(to_string(reason), "unknown");
+    ids.insert(to_string(reason));
+  }
+  EXPECT_EQ(ids.size(), 7u);
 }
 
 TEST_F(ShardRejectTest, BufferedReadPathRejectsToo) {
@@ -236,8 +245,8 @@ TEST_F(ShardRejectTest, BufferedReadPathRejectsToo) {
     load_tile(dir_, TileView::by_row, 0, meta_.row_tiles[0],
               /*use_mmap=*/false);
     ADD_FAILURE() << "tile unexpectedly accepted";
-  } catch (const ShardError& e) {
-    EXPECT_EQ(e.reason(), ShardReject::bad_crc);
+  } catch (const FrameError& e) {
+    EXPECT_EQ(e.reason(), FrameReject::bad_crc);
   }
 }
 

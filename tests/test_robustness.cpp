@@ -1,14 +1,17 @@
-// Robustness layer: CRC32, atomic writes, checkpoint format + resume,
-// solver graceful degradation, fault injection, and the model/ratings I/O
-// hardening. The crash-and-resume path is also exercised end-to-end at the
-// CLI level (tools/CMakeLists.txt, cli_crash_resume_*).
+// Robustness layer: CRC32, atomic writes, checkpoint format + resume, a
+// mutation fuzz over every framed-file reader, solver graceful degradation,
+// fault injection, and the model/ratings I/O hardening. The crash-and-resume
+// path is also exercised end-to-end at the CLI level (tools/CMakeLists.txt,
+// cli_crash_resume_*).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <limits>
 #include <sstream>
 #include <string>
@@ -26,6 +29,9 @@
 #include "data/generator.hpp"
 #include "data/io.hpp"
 #include "data/model_io.hpp"
+#include "data/shards.hpp"
+#include "framed_testing.hpp"
+#include "tune/tune.hpp"
 
 namespace cumf {
 namespace {
@@ -111,8 +117,8 @@ TEST(AtomicFile, ShortWriteFaultProducesDetectablyTruncatedFile) {
   try {
     read_checkpoint_file(path);
     FAIL() << "torn checkpoint must be rejected";
-  } catch (const CheckpointError& e) {
-    EXPECT_EQ(e.reason(), CkptReject::truncated);
+  } catch (const FrameError& e) {
+    EXPECT_EQ(e.reason(), FrameReject::truncated);
   }
   std::filesystem::remove(path);
 }
@@ -155,14 +161,14 @@ TrainCheckpoint sample_checkpoint() {
   return ckpt;
 }
 
-CkptReject reject_reason(const std::string& bytes) {
+FrameReject reject_reason(const std::string& bytes) {
   try {
     parse_checkpoint(bytes);
-  } catch (const CheckpointError& e) {
+  } catch (const FrameError& e) {
     return e.reason();
   }
   ADD_FAILURE() << "expected the checkpoint to be rejected";
-  return CkptReject::io;
+  return FrameReject::io;
 }
 
 TEST(Checkpoint, RoundTripIsBitExact) {
@@ -202,27 +208,28 @@ TEST(Checkpoint, RoundTripIsBitExact) {
 TEST(Checkpoint, RejectsBadMagic) {
   std::string bytes = serialize_checkpoint(sample_checkpoint());
   bytes[0] = 'X';
-  EXPECT_EQ(reject_reason(bytes), CkptReject::bad_magic);
-  EXPECT_EQ(reject_reason("not a checkpoint at all"), CkptReject::bad_magic);
+  EXPECT_EQ(reject_reason(bytes), FrameReject::bad_magic);
+  EXPECT_EQ(reject_reason("not a checkpoint at all"), FrameReject::bad_magic);
 }
 
 TEST(Checkpoint, RejectsVersionSkew) {
   std::string bytes = serialize_checkpoint(sample_checkpoint());
   bytes[8] = static_cast<char>(bytes[8] + 1);
-  EXPECT_EQ(reject_reason(bytes), CkptReject::version_skew);
+  EXPECT_EQ(reject_reason(bytes), FrameReject::version_skew);
 }
 
 TEST(Checkpoint, RejectsTruncation) {
   const std::string bytes = serialize_checkpoint(sample_checkpoint());
   EXPECT_EQ(reject_reason(bytes.substr(0, bytes.size() / 2)),
-            CkptReject::truncated);
-  EXPECT_EQ(reject_reason(bytes.substr(0, 10)), CkptReject::truncated);
+            FrameReject::truncated);
+  EXPECT_EQ(reject_reason(bytes.substr(0, 10)), FrameReject::truncated);
+  EXPECT_EQ(reject_reason(with_hostile_length(bytes)), FrameReject::truncated);
 }
 
 TEST(Checkpoint, RejectsCorruptedPayload) {
   std::string bytes = serialize_checkpoint(sample_checkpoint());
   bytes[bytes.size() / 2] ^= 0x40;  // deep inside the payload
-  EXPECT_EQ(reject_reason(bytes), CkptReject::bad_crc);
+  EXPECT_EQ(reject_reason(bytes), FrameReject::bad_crc);
 }
 
 TEST(Checkpoint, FileRoundTripAndIoRejection) {
@@ -235,8 +242,8 @@ TEST(Checkpoint, FileRoundTripAndIoRejection) {
   try {
     read_checkpoint_file(path);
     FAIL() << "missing file must be rejected";
-  } catch (const CheckpointError& e) {
-    EXPECT_EQ(e.reason(), CkptReject::io);
+  } catch (const FrameError& e) {
+    EXPECT_EQ(e.reason(), FrameReject::io);
   }
 }
 
@@ -284,6 +291,151 @@ TEST(Checkpoint, PruneCollectsTmpOrphans) {
   const auto latest = latest_checkpoint(dir);
   ASSERT_TRUE(latest.has_value());
   EXPECT_EQ(*latest, checkpoint_path(dir, 2));
+  std::filesystem::remove_all(dir);
+}
+
+// ---------- framed-file fuzz ----------
+
+/// One framed reader under fuzz: a frame it accepts and how to feed it
+/// bytes. File-based readers write the bytes where they read from.
+struct FramedReader {
+  std::string name;
+  std::string valid;
+  std::function<void(const std::string&)> read;
+};
+
+std::string slurp(const std::string& path) {
+  std::ifstream is(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(is),
+          std::istreambuf_iterator<char>()};
+}
+
+/// Rewrites an existing file in place, then cuts it to size: truncating to
+/// zero on open costs a block free and reallocation per call on some
+/// filesystems, which the fuzz loop below would pay thousands of times.
+void overwrite(const std::string& path, const std::string& bytes) {
+  {
+    std::fstream os(path, std::ios::binary | std::ios::in | std::ios::out);
+    os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+  std::filesystem::resize_file(path, bytes.size());
+}
+
+/// Makes the header length and the CRC describe whatever lies between
+/// them, so a mutation reaches the payload parser instead of stopping at
+/// the frame checks.
+std::string repaired(std::string bytes) {
+  if (bytes.size() < 24) {
+    return bytes;
+  }
+  const std::uint64_t length = bytes.size() - 24;
+  std::memcpy(bytes.data() + 12, &length, sizeof(length));
+  const std::uint32_t crc = crc32(0, bytes.data() + 20, length);
+  std::memcpy(bytes.data() + bytes.size() - 4, &crc, sizeof(crc));
+  return bytes;
+}
+
+/// Feeds one input to a reader and reports whether it was rejected. A
+/// rejection must be a FrameError with a named reason; any other exception
+/// escaping the reader is a failure.
+bool rejects(const FramedReader& reader, const std::string& bytes,
+             const char* mutation, std::size_t at) {
+  try {
+    reader.read(bytes);
+    return false;
+  } catch (const FrameError& e) {
+    EXPECT_STRNE(to_string(e.reason()), "unknown")
+        << reader.name << ", " << mutation << " at " << at;
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << reader.name << ", " << mutation << " at " << at
+                  << ": escaped as a non-FrameError: " << e.what();
+  } catch (...) {
+    ADD_FAILURE() << reader.name << ", " << mutation << " at " << at
+                  << ": escaped as a non-exception";
+  }
+  return true;
+}
+
+TEST(FramedFuzz, EveryReaderRejectsOnlyWithFrameError) {
+  const std::string dir = temp_path("cumf_framed_fuzz");
+  std::filesystem::remove_all(dir);
+  RatingsCoo ratings(12, 9);
+  Rng fill(5);
+  for (index_t u = 0; u < 12; ++u) {
+    for (index_t v = u % 3; v < 9; v += 2) {
+      ratings.add(u, v, static_cast<real_t>(fill.uniform(1.0, 5.0)));
+    }
+  }
+  const ShardMeta meta = write_shards(dir, ratings, {2, 0.2, 3});
+  const auto file_reader = [](std::string name, const std::string& path,
+                              std::function<void()> read) {
+    return FramedReader{std::move(name), slurp(path),
+                        [path, read](const std::string& bytes) {
+                          overwrite(path, bytes);
+                          read();
+                        }};
+  };
+  tune::TunedConfig config;
+  config.fingerprint = {"fuzz", 12, 9, 54, 8, 0.05f};
+  config.verdicts.push_back({"solve", prof::Bound::dram, 0.5, 0.8, 0.2, 1.0});
+  const std::vector<FramedReader> readers = {
+      {"parse_checkpoint", serialize_checkpoint(sample_checkpoint()),
+       [](const std::string& bytes) { (void)parse_checkpoint(bytes); }},
+      {"parse_tuned_config", tune::serialize_tuned_config(config),
+       [](const std::string& bytes) { (void)tune::parse_tuned_config(bytes); }},
+      file_reader("load_tile", tile_path(dir, TileView::by_row, 0),
+                  [&] {
+                    (void)load_tile(dir, TileView::by_row, 0,
+                                    meta.row_tiles[0]);
+                  }),
+      file_reader("read_shard_meta", dir + "/" + std::string(kShardMetaFile),
+                  [&] { (void)read_shard_meta(dir); }),
+      file_reader("read_shard_test", dir + "/" + std::string(kShardTestFile),
+                  [&] { (void)read_shard_test(dir); }),
+  };
+
+  Rng rng(2024);
+  for (const FramedReader& r : readers) {
+    const std::string& v = r.valid;
+    ASSERT_FALSE(rejects(r, v, "valid frame", 0)) << r.name;
+    for (std::size_t n = 0; n < v.size(); ++n) {
+      EXPECT_TRUE(rejects(r, v.substr(0, n), "truncation", n));
+    }
+    // A flipped byte must fail a frame check; with the frame repaired it
+    // reaches the payload parser, which may accept it.
+    for (int i = 0; i < 200; ++i) {
+      std::string bytes = v;
+      const std::size_t at = rng.uniform_index(bytes.size());
+      bytes[at] = static_cast<char>(bytes[at] ^ (1 + rng.uniform_index(255)));
+      EXPECT_TRUE(rejects(r, bytes, "byte flip", at));
+      rejects(r, repaired(bytes), "repaired byte flip", at);
+    }
+    // Hostile u64/u32 values over every payload offset cover every count,
+    // dimension and length field; hostile header lengths must be rejected.
+    for (const std::uint64_t hostile :
+         {~std::uint64_t{0}, ~std::uint64_t{0} - 21, std::uint64_t{1} << 63,
+          std::uint64_t{0xffffffff}}) {
+      for (std::size_t at = 20; at + 8 <= v.size() - 4; ++at) {
+        std::string bytes = v;
+        std::memcpy(bytes.data() + at, &hostile, sizeof(hostile));
+        rejects(r, repaired(bytes), "hostile payload value", at);
+      }
+      std::string bytes = v;
+      std::memcpy(bytes.data() + 12, &hostile, sizeof(hostile));
+      EXPECT_TRUE(rejects(r, bytes, "hostile header length", 12));
+    }
+    // Splices of two valid frames: a prefix of this reader's frame and the
+    // rest of another's, raw and repaired.
+    for (const FramedReader& other : readers) {
+      for (const std::size_t at : {8, 12, 20, 28, 64, 200}) {
+        const std::string bytes =
+            v.substr(0, std::min(at, v.size())) +
+            other.valid.substr(std::min(at, other.valid.size()));
+        rejects(r, bytes, "splice", at);
+        rejects(r, repaired(bytes), "repaired splice", at);
+      }
+    }
+  }
   std::filesystem::remove_all(dir);
 }
 

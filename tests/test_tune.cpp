@@ -17,6 +17,7 @@
 #include "common/rng.hpp"
 #include "sparse/csr.hpp"
 #include "tune/tune.hpp"
+#include "framed_testing.hpp"
 
 namespace cumf::tune {
 namespace {
@@ -216,14 +217,14 @@ TEST(TunePersist, RoundTripIsByteIdentical) {
   EXPECT_EQ(serialize_tuned_config(back), bytes);
 }
 
-TuneReject reject_reason(const std::string& bytes) {
+FrameReject reject_reason(const std::string& bytes) {
   try {
     (void)parse_tuned_config(bytes);
-  } catch (const TuneError& e) {
+  } catch (const FrameError& e) {
     return e.reason();
   }
   ADD_FAILURE() << "tampered config was accepted";
-  return TuneReject::io;
+  return FrameReject::io;
 }
 
 TEST(TunePersist, RejectionTaxonomy) {
@@ -233,19 +234,20 @@ TEST(TunePersist, RejectionTaxonomy) {
 
   std::string bad = good;
   bad[0] = 'X';
-  EXPECT_EQ(reject_reason(bad), TuneReject::bad_magic);
+  EXPECT_EQ(reject_reason(bad), FrameReject::bad_magic);
 
   bad = good;
   bad[8] = static_cast<char>(kTuneVersion + 1);  // version u32 LE at offset 8
-  EXPECT_EQ(reject_reason(bad), TuneReject::version_skew);
+  EXPECT_EQ(reject_reason(bad), FrameReject::version_skew);
 
-  EXPECT_EQ(reject_reason(good.substr(0, 10)), TuneReject::truncated);
+  EXPECT_EQ(reject_reason(good.substr(0, 10)), FrameReject::truncated);
   EXPECT_EQ(reject_reason(good.substr(0, good.size() - 3)),
-            TuneReject::truncated);
+            FrameReject::truncated);
+  EXPECT_EQ(reject_reason(with_hostile_length(good)), FrameReject::truncated);
 
   bad = good;
   bad[40] ^= 0x5a;  // flip a payload byte; frame stays intact
-  EXPECT_EQ(reject_reason(bad), TuneReject::bad_crc);
+  EXPECT_EQ(reject_reason(bad), FrameReject::bad_crc);
 
   // A frame whose CRC is valid but whose payload is not the expected JSON
   // must be rejected as malformed, for both non-JSON and wrong-shape JSON.
@@ -262,10 +264,16 @@ TEST(TunePersist, RejectionTaxonomy) {
     le(crc32(payload), 4);
     return out;
   };
-  EXPECT_EQ(reject_reason(frame("not json at all")), TuneReject::malformed);
+  EXPECT_EQ(reject_reason(frame("not json at all")), FrameReject::malformed);
   EXPECT_EQ(reject_reason(frame("{\"type\":\"wrong\"}")),
-            TuneReject::malformed);
-  EXPECT_EQ(reject_reason(frame("{}")), TuneReject::malformed);
+            FrameReject::malformed);
+  EXPECT_EQ(reject_reason(frame("{}")), FrameReject::malformed);
+  // An integer field outside its type's range is malformed, not converted.
+  std::string payload = good.substr(20, good.size() - 24);
+  const std::size_t f_at = payload.find("\"f\":16");
+  ASSERT_NE(f_at, std::string::npos);
+  payload.insert(f_at + 4, "-");
+  EXPECT_EQ(reject_reason(frame(payload)), FrameReject::malformed);
 }
 
 TEST(TunePersist, FileRoundTripAndDirectoryLookup) {
@@ -292,8 +300,8 @@ TEST(TunePersist, FileRoundTripAndDirectoryLookup) {
   try {
     (void)load_tuned_config(file, other);
     FAIL() << "fingerprint mismatch was accepted";
-  } catch (const TuneError& e) {
-    EXPECT_EQ(e.reason(), TuneReject::mismatch);
+  } catch (const FrameError& e) {
+    EXPECT_EQ(e.reason(), FrameReject::mismatch);
     EXPECT_NE(std::string(e.what()).find("f"), std::string::npos);
   }
 
@@ -301,8 +309,8 @@ TEST(TunePersist, FileRoundTripAndDirectoryLookup) {
   try {
     (void)load_tuned_config((dir / "nope.bin").string(), input.fingerprint);
     FAIL() << "missing file was accepted";
-  } catch (const TuneError& e) {
-    EXPECT_EQ(e.reason(), TuneReject::io);
+  } catch (const FrameError& e) {
+    EXPECT_EQ(e.reason(), FrameReject::io);
   }
   std::filesystem::remove_all(dir);
 }

@@ -30,6 +30,7 @@
 
 #include "common/stopwatch.hpp"
 #include "data/checkpoint.hpp"
+#include "data/framed.hpp"
 #include "data/loaders.hpp"
 #include "data/model_io.hpp"
 #include "prof/counters.hpp"
@@ -249,6 +250,9 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "trace written to %s\n", trace_path.c_str());
     }
     return 0;
+  } catch (const FrameError& e) {
+    std::fprintf(stderr, "cumf_serve: rejected %s\n", e.what());
+    return 1;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;

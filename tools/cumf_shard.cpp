@@ -25,6 +25,7 @@
 
 #include "common/check.hpp"
 #include "common/stopwatch.hpp"
+#include "data/framed.hpp"
 #include "data/loaders.hpp"
 #include "data/shards.hpp"
 #include "sparse/coo.hpp"
@@ -173,9 +174,8 @@ int main(int argc, char** argv) {
       return cmd_verify(argv[2]);
     }
     return usage();
-  } catch (const cumf::ShardError& e) {
-    std::fprintf(stderr, "cumf_shard: rejected shard file (%s): %s\n",
-                 cumf::to_string(e.reason()), e.what());
+  } catch (const cumf::FrameError& e) {
+    std::fprintf(stderr, "cumf_shard: rejected %s\n", e.what());
     return 1;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "cumf_shard: %s\n", e.what());

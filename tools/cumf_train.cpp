@@ -108,6 +108,7 @@
 #include "core/multi_gpu.hpp"
 #include "core/ooc_als.hpp"
 #include "data/checkpoint.hpp"
+#include "data/framed.hpp"
 #include "data/shards.hpp"
 #include "data/loaders.hpp"
 #include "data/model_io.hpp"
@@ -302,12 +303,12 @@ int run_explicit(Engine& engine, const ExplicitConfig& cfg,
           why = "holdout-split RNG state differs";
         }
         if (!why.empty()) {
-          throw CheckpointError(CkptReject::mismatch, why);
+          throw FrameError(FrameReject::mismatch,
+                           "checkpoint '" + *latest + "'", why);
         }
         resumed = std::move(ckpt);
-      } catch (const CheckpointError& e) {
-        std::fprintf(stderr, "cumf_train: rejected checkpoint '%s': %s\n",
-                     latest->c_str(), e.what());
+      } catch (const FrameError& e) {
+        std::fprintf(stderr, "cumf_train: rejected %s\n", e.what());
         return 1;
       }
       std::printf("resumed from %s (after epoch %u, %.2f s trained)\n",
@@ -1092,9 +1093,8 @@ int cmd_train(int argc, char** argv) {
     expected.lambda = static_cast<float>(lambda);
     try {
       tuned = tune::load_tuned_config(autotune_path, expected);
-    } catch (const tune::TuneError& e) {
-      std::fprintf(stderr, "cumf_train: rejected tuned config [%s]: %s\n",
-                   tune::to_string(e.reason()), e.what());
+    } catch (const FrameError& e) {
+      std::fprintf(stderr, "cumf_train: rejected %s\n", e.what());
       return 2;
     }
     const tune::TuneChoice& tc = tuned->choice;
@@ -1508,6 +1508,9 @@ int main(int argc, char** argv) {
       return cmd_recommend(argc, argv);
     }
     usage();
+  } catch (const FrameError& e) {
+    std::fprintf(stderr, "cumf_train: rejected %s\n", e.what());
+    return 1;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;

@@ -38,6 +38,7 @@
 
 #include "common/rng.hpp"
 #include "common/stopwatch.hpp"
+#include "data/framed.hpp"
 #include "data/loaders.hpp"
 #include "data/shards.hpp"
 #include "gpusim/device.hpp"
@@ -283,6 +284,9 @@ int main(int argc, char** argv) {
     tune::write_tuned_config_file(out_path, config);
     std::printf("tuned config written to %s\n", out_path.c_str());
     return 0;
+  } catch (const FrameError& e) {
+    std::fprintf(stderr, "cumf_tune: rejected %s\n", e.what());
+    return 1;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "cumf_tune: error: %s\n", e.what());
     return 1;
