@@ -2,13 +2,13 @@
 // runs).
 //
 // Three sections:
-//   1. Native check: MultiGpuAls on 1 vs 4 simulated devices over a scaled
-//      Netflix-shaped dataset — factors and merged SolveStats must be
-//      bit-identical (ALS row updates are independent), while the 4-device
-//      run executes its shards concurrently.
-//   2. Sharded model: the engine's own nnz-balanced shards fed through its
-//      interconnect-aware timeline (ragged ring all-gather + pipelined
-//      overlap) at the paper's rank, on the scaled data.
+//   1. Native check: AlsEngine with 1 vs 4 workers (what `--gpus 4` runs)
+//      over a scaled Netflix-shaped dataset — factors and merged SolveStats
+//      must be bit-identical (ALS row updates are independent), while the
+//      4-worker run updates rows concurrently.
+//   2. Sharded model: nnz-balanced device shards of the same data fed
+//      through the interconnect-aware timeline (ragged ring all-gather +
+//      pipelined overlap) at the paper's rank.
 //   3. Full-scale model: the same per-half-sweep formula evaluated at the
 //      Table II sizes for 1/2/4 devices on PCIe 3.0 vs NVLink — the numbers
 //      comparable to the publication, and the ones the CI perf-smoke gate
@@ -53,8 +53,8 @@ std::string json_num(double v) {
 }
 
 /// Full-scale modeled epoch on `gpus` devices: even row shards (at Table II
-/// scale the nnz-balanced cuts converge to the even split), per-half-sweep
-/// ring all-gather, and the same pipelined overlap bound MultiGpuAls uses.
+/// scale the nnz-balanced cuts converge to the even split) through the same
+/// per-half-sweep model as the sharded timeline.
 MultiGpuScaling model_full_scale(const gpusim::DeviceSpec& dev,
                                  const DatasetPreset& preset,
                                  const AlsKernelConfig& kc,
@@ -69,21 +69,15 @@ MultiGpuScaling model_full_scale(const gpusim::DeviceSpec& dev,
   const UpdateShape t_full{n, m, nnz};
   out.single_gpu_s = update_phase_times(dev, x_full, kc).total_seconds() +
                      update_phase_times(dev, t_full, kc).total_seconds();
-  for (const auto& [rows, shape] :
-       {std::pair{m, UpdateShape{m / g, n, nnz / g}},
-        std::pair{n, UpdateShape{n / g, m, nnz / g}}}) {
-    const double compute = update_phase_times(dev, shape, kc).total_seconds();
-    const std::vector<double> slice_bytes(
-        static_cast<std::size_t>(gpus),
-        rows / g * kc.f * sizeof(real_t));
-    const double comm_total =
-        gpusim::allgather_seconds_ragged(link, slice_bytes);
-    const double c = MultiGpuAls::kOverlapPipelineDepth;
-    const double wall =
-        std::max(compute, comm_total) + std::min(compute, comm_total) / c;
-    out.compute_s += compute;
-    out.comm_s += wall - compute;
-    out.total_s += wall;
+  for (const UpdateShape& shape :
+       {UpdateShape{m / g, n, nnz / g}, UpdateShape{n / g, m, nnz / g}}) {
+    const std::vector<UpdateShape> devices(static_cast<std::size_t>(gpus),
+                                           shape);
+    const MultiGpuHalfSweep sweep =
+        multi_gpu_half_sweep(dev, kc, link, devices);
+    out.compute_s += sweep.compute_s;
+    out.comm_s += sweep.comm_s;
+    out.total_s += sweep.seconds();
   }
   out.speedup = out.total_s > 0 ? out.single_gpu_s / out.total_s : 0.0;
   out.efficiency = out.speedup / g;
@@ -137,7 +131,8 @@ int main(int argc, char** argv) {
   SolveStats ref_stats;
   bool identical = true;
   for (const int gpus : {1, 4}) {
-    MultiGpuAls engine(data.ratings, opt, gpus);
+    opt.workers = gpus;
+    AlsEngine engine(data.ratings, opt);
     Stopwatch sw;
     for (int e = 0; e < epochs; ++e) {
       engine.run_epoch();
@@ -170,6 +165,8 @@ int main(int argc, char** argv) {
   // --- 2. sharded model on the scaled data (engine's own shards) ---------
   std::printf("\n  sharded timeline on scaled Netflix shape "
               "(nnz-balanced, paper f=100):\n");
+  opt.workers = 1;
+  const AlsEngine views(data.ratings, opt);
   const auto dev = gpusim::DeviceSpec::pascal_p100();
   AlsKernelConfig kc;
   kc.f = 100;
@@ -178,8 +175,9 @@ int main(int argc, char** argv) {
   for (const auto& link : {gpusim::LinkSpec::pcie3(),
                            gpusim::LinkSpec::nvlink()}) {
     for (const int gpus : {1, 2, 4}) {
-      MultiGpuAls engine(data.ratings, opt, gpus);
-      const MultiGpuScaling s = engine.scaling_report(dev, kc, link);
+      const MultiGpuScaling s = multi_gpu_scaling(
+          dev, kc, link, views.ratings_by_row(), views.ratings_by_col(), gpus,
+          opt.schedule);
       const std::string tag =
           (link.name == "NVLink" ? std::string("nvlink_g")
                                  : std::string("pcie3_g")) +

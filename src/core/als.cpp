@@ -37,27 +37,11 @@ void als_init_factors(Matrix& factors, double mean, std::uint64_t seed) {
   }
 }
 
-AlsEngine::AlsEngine(const RatingsCoo& train, const AlsOptions& options)
-    : options_(options) {
+AlsEngineBase::AlsEngineBase(const AlsOptions& options) : options_(options) {
   CUMF_EXPECTS(options_.f > 0, "latent dimension must be positive");
   CUMF_EXPECTS(options_.lambda > 0, "ALS-WR needs lambda > 0");
   CUMF_EXPECTS(options_.workers >= 1, "need at least one worker");
-
-  RatingsCoo canonical = train;
-  canonical.sort_and_dedup();
-  for (const Rating& e : canonical.entries()) {
-    CUMF_EXPECTS(std::isfinite(e.r), "ratings must be finite");
-  }
-  r_ = CsrMatrix::from_coo(canonical);
-  rt_ = r_.transposed();
-
   options_.hermitian.tile = pick_tile(options_.f, options_.hermitian.tile);
-
-  x_ = Matrix(r_.rows(), options_.f);
-  theta_ = Matrix(r_.cols(), options_.f);
-  const double mean = canonical.mean_value();
-  als_init_factors(x_, mean, options_.seed);
-  als_init_factors(theta_, mean, options_.seed + 1);
 
   workers_.reserve(static_cast<std::size_t>(options_.workers));
   for (int w = 0; w < options_.workers; ++w) {
@@ -67,6 +51,25 @@ AlsEngine::AlsEngine(const RatingsCoo& train, const AlsOptions& options)
     pool_ = std::make_unique<ThreadPool>(
         static_cast<std::size_t>(options_.workers));
   }
+}
+
+void AlsEngineBase::warm_start(index_t rows, index_t cols, double mean) {
+  x_ = Matrix(rows, options_.f);
+  theta_ = Matrix(cols, options_.f);
+  als_init_factors(x_, mean, options_.seed);
+  als_init_factors(theta_, mean, options_.seed + 1);
+}
+
+AlsEngine::AlsEngine(const RatingsCoo& train, const AlsOptions& options)
+    : AlsEngineBase(options) {
+  RatingsCoo canonical = train;
+  canonical.sort_and_dedup();
+  for (const Rating& e : canonical.entries()) {
+    CUMF_EXPECTS(std::isfinite(e.r), "ratings must be finite");
+  }
+  r_ = CsrMatrix::from_coo(canonical);
+  rt_ = r_.transposed();
+  warm_start(r_.rows(), r_.cols(), canonical.mean_value());
 }
 
 void als_update_rows(const AlsOptions& options, const CsrMatrix& ratings,
@@ -152,11 +155,12 @@ void als_update_rows(const AlsOptions& options, const CsrMatrix& ratings,
   }
 }
 
-void AlsEngine::update_side(const CsrMatrix& ratings, const Matrix& fixed,
-                            Matrix& solved, std::uint32_t fault_site) {
+void AlsEngineBase::sweep(const CsrMatrix& ratings, const Matrix& fixed,
+                          Matrix& solved, std::uint32_t fault_site,
+                          index_t row_offset) {
   if (pool_ == nullptr) {
     als_update_rows(options_, ratings, fixed, solved, 0, ratings.rows(),
-                    fault_site, workers_[0]);
+                    fault_site, workers_[0], row_offset);
     return;
   }
   // Rows are independent and each worker index is held by exactly one task,
@@ -166,7 +170,7 @@ void AlsEngine::update_side(const CsrMatrix& ratings, const Matrix& fixed,
                         std::size_t worker) {
     als_update_rows(options_, ratings, fixed, solved,
                     static_cast<index_t>(begin), static_cast<index_t>(end),
-                    fault_site, workers_[worker]);
+                    fault_site, workers_[worker], row_offset);
   };
   if (options_.schedule == AlsSchedule::nnz_guided) {
     // ~8 chunks per worker of equal nnz: power-law degree skew costs at
@@ -180,40 +184,45 @@ void AlsEngine::update_side(const CsrMatrix& ratings, const Matrix& fixed,
   }
 }
 
-void AlsEngine::run_epoch() {
-  CUMF_PROF_SCOPE("als_epoch", "als");
+void AlsEngineBase::begin_epoch() {
   // Measured per-epoch counters: reset so callers always see "last epoch".
-  for (WorkerContext& ctx : workers_) {
+  for (AlsWorkerContext& ctx : workers_) {
     ctx.herm_ops = OpCounts{};
     ctx.solve_ops = OpCounts{};
     ctx.herm_ns = 0;
     ctx.solve_ns = 0;
   }
-  {
-    CUMF_PROF_SCOPE("update_X", "als");
-    update_side(r_, theta_, x_, /*fault_site=*/0);
-  }
-  {
-    CUMF_PROF_SCOPE("update_Theta", "als");
-    update_side(rt_, x_, theta_, /*fault_site=*/1);
-  }
+}
+
+void AlsEngineBase::end_epoch() {
   herm_ops_ = OpCounts{};
   solve_ops_ = OpCounts{};
   phase_ = PhaseSeconds{};
-  for (const WorkerContext& ctx : workers_) {
+  for (const AlsWorkerContext& ctx : workers_) {
     herm_ops_ += ctx.herm_ops;
     solve_ops_ += ctx.solve_ops;
     phase_.hermitian += static_cast<double>(ctx.herm_ns) / 1e9;
     phase_.solve += static_cast<double>(ctx.solve_ns) / 1e9;
   }
   ++epochs_;
-  if (epoch_hook_) {
-    epoch_hook_(epochs_);
-  }
 }
 
-void AlsEngine::restore(const Matrix& x, const Matrix& theta, int epochs_run,
-                        const SolveStats& stats) {
+void AlsEngine::run_epoch() {
+  CUMF_PROF_SCOPE("als_epoch", "als");
+  begin_epoch();
+  {
+    CUMF_PROF_SCOPE("update_X", "als");
+    sweep(r_, theta_, x_, /*fault_site=*/0);
+  }
+  {
+    CUMF_PROF_SCOPE("update_Theta", "als");
+    sweep(rt_, x_, theta_, /*fault_site=*/1);
+  }
+  end_epoch();
+}
+
+void AlsEngineBase::restore(const Matrix& x, const Matrix& theta,
+                            int epochs_run, const SolveStats& stats) {
   CUMF_EXPECTS(x.rows() == x_.rows() && x.cols() == x_.cols(),
                "restore: user-factor shape mismatch");
   CUMF_EXPECTS(theta.rows() == theta_.rows() && theta.cols() == theta_.cols(),
@@ -223,14 +232,14 @@ void AlsEngine::restore(const Matrix& x, const Matrix& theta, int epochs_run,
   theta_ = theta;
   epochs_ = epochs_run;
   restored_stats_ = stats;
-  for (WorkerContext& ctx : workers_) {
+  for (AlsWorkerContext& ctx : workers_) {
     ctx.solver.reset_stats();
   }
 }
 
-SolveStats AlsEngine::solve_stats() const noexcept {
+SolveStats AlsEngineBase::solve_stats() const noexcept {
   SolveStats total = restored_stats_;
-  for (const WorkerContext& ctx : workers_) {
+  for (const AlsWorkerContext& ctx : workers_) {
     total += ctx.solver.stats();
   }
   return total;

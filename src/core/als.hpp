@@ -10,7 +10,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 
 #include "common/thread_pool.hpp"
@@ -72,11 +71,10 @@ struct AlsOptions {
   std::uint64_t seed = 1;
 };
 
-/// Everything one worker (or one simulated device) needs to update a row
-/// without touching shared mutable state: the device analogue is a
-/// thread-block's scratch. Shared by AlsEngine (one per host worker) and
-/// MultiGpuAls (one per device), so both engines run the identical hot loop
-/// and their SolveStats/OpCounts accounting merges the same way.
+/// Everything one worker needs to update a row without touching shared
+/// mutable state: the device analogue is a thread-block's scratch. Each
+/// engine holds one per worker, so its SolveStats/OpCounts accounting
+/// merges the same way under any worker count or schedule.
 struct AlsWorkerContext {
   AlsWorkerContext(std::size_t f, const SolverOptions& options,
                    const HermitianParams& hermitian)
@@ -93,7 +91,7 @@ struct AlsWorkerContext {
   std::uint64_t solve_ns = 0;  ///< profiled time in the solve step
 };
 
-/// Measured host seconds per kernel phase, summed across workers/devices.
+/// Measured host seconds per kernel phase, summed across workers.
 /// Collected only while the cuprof tracer is enabled; zero otherwise.
 struct AlsPhaseSeconds {
   double hermitian = 0.0;  ///< get_hermitian_row (load+compute+write)
@@ -104,40 +102,39 @@ struct AlsPhaseSeconds {
 /// naive reference kernel), optional fault injection, then the configured
 /// solve, accumulating ops/spans/stats into `ctx`. `fault_site` tags the
 /// half-sweep (0 = update-X, 1 = update-Θ) so the deterministic fault
-/// injector corrupts the same systems under any engine, schedule, worker
-/// count, or device count. Rows never read other rows of `solved`, so any
-/// disjoint partition of calls is race-free and produces bit-identical
-/// factors. `row_offset` maps local row u of `ratings` to global row
-/// u + row_offset of `solved` — the out-of-core engine passes each tile's
-/// first global row here, so fault decisions and factor writes land on the
-/// same global ids as an in-core sweep.
+/// injector corrupts the same systems under any engine, schedule or worker
+/// count. Rows never read other rows of `solved`, so any disjoint
+/// partition of calls is race-free and produces bit-identical factors.
+/// `row_offset` maps local row u of `ratings` to global row u + row_offset
+/// of `solved` — the out-of-core engine passes each tile's first global row
+/// here, so fault decisions and factor writes land on the same global ids
+/// as an in-core sweep.
 void als_update_rows(const AlsOptions& options, const CsrMatrix& ratings,
                      const Matrix& fixed, Matrix& solved, index_t begin,
                      index_t end, std::uint32_t fault_site,
                      AlsWorkerContext& ctx, index_t row_offset = 0);
 
-class AlsEngine {
+/// The state and row sweep every explicit ALS engine shares: validated
+/// options, the factors and their warm start, one AlsWorkerContext per
+/// worker plus the pool, the per-epoch counter merge, restore() and the
+/// solver accounting. Engines differ only in where a half-sweep's ratings
+/// come from — AlsEngine holds both CSR views, OocAlsEngine streams tiles —
+/// and hand each CSR to sweep().
+class AlsEngineBase {
  public:
-  AlsEngine(const RatingsCoo& train, const AlsOptions& options);
+  virtual ~AlsEngineBase() = default;
 
   /// Runs one full epoch (update-X then update-Θ).
-  void run_epoch();
-
-  /// Per-epoch hook, invoked at the end of every run_epoch() with the new
-  /// epochs_run() value. This is the checkpoint attachment point: a hook
-  /// that snapshots user_factors()/item_factors()/solve_stats() at epoch k
-  /// captures exactly the state restore() needs to continue bit-identically
-  /// (see data/checkpoint.hpp and tests/test_robustness.cpp).
-  using EpochHook = std::function<void(int epoch)>;
-  void set_epoch_hook(EpochHook hook) { epoch_hook_ = std::move(hook); }
+  virtual void run_epoch() = 0;
 
   /// Resumes from checkpointed state: replaces both factor matrices and the
   /// epoch counter, and seeds solve_stats() with the pre-crash cumulative
   /// stats so telemetry deltas and final totals span the whole logical run.
   /// The engine must have been constructed with the same ratings and
-  /// options as the run that produced the snapshot; epochs are
-  /// deterministic, so the continuation is bit-identical to never having
-  /// stopped. Throws CheckError on shape mismatch.
+  /// options as the run that produced the snapshot (the worker count may
+  /// differ); epochs are deterministic, so the continuation is
+  /// bit-identical to never having stopped. Throws CheckError on shape
+  /// mismatch.
   void restore(const Matrix& x, const Matrix& theta, int epochs_run,
                const SolveStats& stats = SolveStats{});
 
@@ -148,15 +145,14 @@ class AlsEngine {
   const Matrix& user_factors() const noexcept { return x_; }
   const Matrix& item_factors() const noexcept { return theta_; }
 
-  const CsrMatrix& ratings_by_row() const noexcept { return r_; }
-  const CsrMatrix& ratings_by_col() const noexcept { return rt_; }
-
   /// Solver behaviour accumulated since construction (plus any restore()d
-  /// baseline) across all workers. CG iteration counts feed the cost model;
-  /// failures and the fallback counters stay 0 for λ > 0 on healthy data —
-  /// they move only when the approximate path degrades (FP16 overflow, CG
-  /// breakdown) or a system is unsolvable even exactly, in which case the
-  /// affected row keeps its previous factor instead of poisoning the model.
+  /// baseline) across all workers. The counters are integer sums, so the
+  /// totals are the same under any worker count. CG iteration counts feed
+  /// the cost model; failures and the fallback counters stay 0 for λ > 0
+  /// on healthy data — they move only when the approximate path degrades
+  /// (FP16 overflow, CG breakdown) or a system is unsolvable even exactly,
+  /// in which case the affected row keeps its previous factor instead of
+  /// poisoning the model.
   SolveStats solve_stats() const noexcept;
 
   /// Operations actually performed per epoch (measured, not analytic).
@@ -172,25 +168,58 @@ class AlsEngine {
     return phase_;
   }
 
- private:
-  using WorkerContext = AlsWorkerContext;
+ protected:
+  /// Checks the options, snaps the hermitian tile to a divisor of f and
+  /// builds the worker contexts (and the pool when workers > 1).
+  explicit AlsEngineBase(const AlsOptions& options);
 
-  void update_side(const CsrMatrix& ratings, const Matrix& fixed,
-                   Matrix& solved, std::uint32_t fault_site);
+  /// Sizes the factors to rows×f and cols×f and fills them with the shared
+  /// warm start around `mean`.
+  void warm_start(index_t rows, index_t cols, double mean);
 
-  AlsOptions options_;
-  CsrMatrix r_;   ///< train ratings, row-major (update-X view)
-  CsrMatrix rt_;  ///< transpose (update-Θ view)
+  /// Clears the per-worker counters; call before an epoch's first sweep.
+  void begin_epoch();
+  /// Merges the per-worker counters into the per-epoch totals and advances
+  /// the epoch counter; call after an epoch's last sweep.
+  void end_epoch();
+
+  /// Updates every row of `ratings` against `fixed` into `solved` (rows
+  /// offset by `row_offset`, see als_update_rows) across the worker pool:
+  /// nnz-balanced chunks pulled by the workers under
+  /// AlsSchedule::nnz_guided, one equal-row range each under static_rows.
+  void sweep(const CsrMatrix& ratings, const Matrix& fixed, Matrix& solved,
+             std::uint32_t fault_site, index_t row_offset = 0);
+
   Matrix x_;      ///< m×f user factors
   Matrix theta_;  ///< n×f item factors
-  std::vector<WorkerContext> workers_;
+
+ private:
+  AlsOptions options_;
+  std::vector<AlsWorkerContext> workers_;
   std::unique_ptr<ThreadPool> pool_;  ///< only when options_.workers > 1
   int epochs_ = 0;
   OpCounts herm_ops_;
   OpCounts solve_ops_;
   PhaseSeconds phase_;
-  EpochHook epoch_hook_;
   SolveStats restored_stats_;  ///< baseline from restore(), added on read
+};
+
+/// In-core engine: both CSR views of the train ratings stay resident.
+/// `--gpus G` runs this engine with G workers — the factors do not depend
+/// on how rows are split — and core/multi_gpu models the G-device timeline
+/// from the same two views.
+class AlsEngine : public AlsEngineBase {
+ public:
+  AlsEngine(const RatingsCoo& train, const AlsOptions& options);
+
+  void run_epoch() override;
+
+  const CsrMatrix& ratings_by_row() const noexcept { return r_; }
+  const CsrMatrix& ratings_by_col() const noexcept { return rt_; }
+
+ private:
+  CsrMatrix r_;   ///< train ratings, row-major (update-X view)
+  CsrMatrix rt_;  ///< transpose (update-Θ view)
 };
 
 /// Largest tile size ≤ `requested` that divides f (so any f works with the
@@ -198,7 +227,7 @@ class AlsEngine {
 int pick_tile(std::size_t f, int requested);
 
 /// Shared warm start: entries near sqrt(mean/f) so x·θ begins at the global
-/// rating mean. Used by both the single- and multi-GPU engines.
+/// rating mean.
 void als_init_factors(Matrix& factors, double mean, std::uint64_t seed);
 
 }  // namespace cumf

@@ -6,7 +6,6 @@
 #include <numeric>
 #include <utility>
 
-#include "common/check.hpp"
 #include "prof/prof.hpp"
 
 namespace cumf {
@@ -92,21 +91,13 @@ OocTimeline ooc_epoch_timeline(const gpusim::DeviceSpec& dev,
 
 OocAlsEngine::OocAlsEngine(const std::string& shard_dir,
                            const AlsOptions& options, const OocOptions& ooc)
-    : options_(options),
+    : AlsEngineBase(options),
       cache_(shard_dir, read_shard_meta(shard_dir),
              TileCacheOptions{ooc.host_mem_bytes, ooc.use_mmap}) {
-  CUMF_EXPECTS(options_.f > 0, "latent dimension must be positive");
-  CUMF_EXPECTS(options_.lambda > 0, "ALS-WR needs lambda > 0");
-  CUMF_EXPECTS(options_.workers >= 1, "need at least one worker");
-  options_.hermitian.tile = pick_tile(options_.f, options_.hermitian.tile);
-
   const ShardMeta& meta = cache_.meta();
-  x_ = Matrix(meta.rows, options_.f);
-  theta_ = Matrix(meta.cols, options_.f);
   // meta.mean is the bit-exact mean_value() of the canonical train split,
   // so this warm start is byte-for-byte the one AlsEngine computes.
-  als_init_factors(x_, meta.mean, options_.seed);
-  als_init_factors(theta_, meta.mean, options_.seed + 1);
+  warm_start(meta.rows, meta.cols, meta.mean);
 
   // Prefetch keeps two tiles in flight (one computing, one loading), so it
   // needs headroom for both in the host cache and, when a device budget is
@@ -117,38 +108,6 @@ OocAlsEngine::OocAlsEngine(const std::string& shard_dir,
   overlap_ = ooc.overlap && ooc.host_mem_bytes >= 2 * largest &&
              (ooc.device_mem_bytes == 0 ||
               ooc.device_mem_bytes >= 2 * largest);
-
-  workers_.reserve(static_cast<std::size_t>(options_.workers));
-  for (int w = 0; w < options_.workers; ++w) {
-    workers_.emplace_back(options_.f, options_.solver, options_.hermitian);
-  }
-  if (options_.workers > 1) {
-    pool_ = std::make_unique<ThreadPool>(
-        static_cast<std::size_t>(options_.workers));
-  }
-}
-
-void OocAlsEngine::compute_tile(const CsrTile& tile, const Matrix& fixed,
-                                Matrix& solved, std::uint32_t fault_site) {
-  const auto offset = tile.row_begin;
-  if (pool_ == nullptr) {
-    als_update_rows(options_, tile.csr, fixed, solved, 0, tile.csr.rows(),
-                    fault_site, workers_[0], offset);
-    return;
-  }
-  const auto body = [&](std::size_t begin, std::size_t end,
-                        std::size_t worker) {
-    als_update_rows(options_, tile.csr, fixed, solved,
-                    static_cast<index_t>(begin), static_cast<index_t>(end),
-                    fault_site, workers_[worker], offset);
-  };
-  if (options_.schedule == AlsSchedule::nnz_guided) {
-    const std::vector<std::size_t> bounds =
-        nnz_balanced_bounds(tile.csr, 8 * pool_->size());
-    pool_->parallel_for_chunks(bounds, body);
-  } else {
-    pool_->parallel_for_static(tile.csr.rows(), body);
-  }
 }
 
 void OocAlsEngine::update_side(TileView view, const Matrix& fixed,
@@ -158,7 +117,7 @@ void OocAlsEngine::update_side(TileView view, const Matrix& fixed,
   // across worker counts and budgets, and restore(epochs) re-enters the
   // identical sweep sequence.
   const std::vector<std::size_t> order =
-      ooc_tile_order(table.size(), epochs_);
+      ooc_tile_order(table.size(), epochs_run());
   const bool profiled = prof::Tracer::enabled();
   std::future<std::shared_ptr<const CsrTile>> pending;
   for (std::size_t i = 0; i < order.size(); ++i) {
@@ -180,7 +139,7 @@ void OocAlsEngine::update_side(TileView view, const Matrix& fixed,
     }
     const std::uint64_t c0 = profiled ? prof::now_ns() : 0;
     const auto comp0 = std::chrono::steady_clock::now();
-    compute_tile(*tile, fixed, solved, fault_site);
+    sweep(tile->csr, fixed, solved, fault_site, tile->row_begin);
     ooc_stats_.compute_s += seconds_since(comp0);
     if (profiled) {
       prof::Tracer::instance().complete_span("ooc_tile_compute", "ooc", c0,
@@ -192,12 +151,7 @@ void OocAlsEngine::update_side(TileView view, const Matrix& fixed,
 
 void OocAlsEngine::run_epoch() {
   CUMF_PROF_SCOPE("ooc_epoch", "ooc");
-  for (AlsWorkerContext& ctx : workers_) {
-    ctx.herm_ops = OpCounts{};
-    ctx.solve_ops = OpCounts{};
-    ctx.herm_ns = 0;
-    ctx.solve_ns = 0;
-  }
+  begin_epoch();
   ooc_stats_ = OocEpochStats{};
   const TileCache::Stats before = cache_.stats();
   {
@@ -213,44 +167,7 @@ void OocAlsEngine::run_epoch() {
   ooc_stats_.cache_misses = after.misses - before.misses;
   ooc_stats_.bytes_loaded = after.bytes_loaded - before.bytes_loaded;
   ooc_stats_.load_s = after.load_seconds - before.load_seconds;
-
-  herm_ops_ = OpCounts{};
-  solve_ops_ = OpCounts{};
-  phase_ = PhaseSeconds{};
-  for (const AlsWorkerContext& ctx : workers_) {
-    herm_ops_ += ctx.herm_ops;
-    solve_ops_ += ctx.solve_ops;
-    phase_.hermitian += static_cast<double>(ctx.herm_ns) / 1e9;
-    phase_.solve += static_cast<double>(ctx.solve_ns) / 1e9;
-  }
-  ++epochs_;
-  if (epoch_hook_) {
-    epoch_hook_(epochs_);
-  }
-}
-
-void OocAlsEngine::restore(const Matrix& x, const Matrix& theta,
-                           int epochs_run, const SolveStats& stats) {
-  CUMF_EXPECTS(x.rows() == x_.rows() && x.cols() == x_.cols(),
-               "restore: user-factor shape mismatch");
-  CUMF_EXPECTS(theta.rows() == theta_.rows() && theta.cols() == theta_.cols(),
-               "restore: item-factor shape mismatch");
-  CUMF_EXPECTS(epochs_run >= 0, "restore: negative epoch counter");
-  x_ = x;
-  theta_ = theta;
-  epochs_ = epochs_run;
-  restored_stats_ = stats;
-  for (AlsWorkerContext& ctx : workers_) {
-    ctx.solver.reset_stats();
-  }
-}
-
-SolveStats OocAlsEngine::solve_stats() const noexcept {
-  SolveStats total = restored_stats_;
-  for (const AlsWorkerContext& ctx : workers_) {
-    total += ctx.solver.stats();
-  }
-  return total;
+  end_epoch();
 }
 
 }  // namespace cumf

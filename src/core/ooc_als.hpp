@@ -7,25 +7,22 @@
 // orders tiles serpentine across sweeps (ascending, then descending) so the
 // boundary tile of one sweep is the first tile of the next — the only reuse
 // a strict two-view sweep structure admits — and a single-slot prefetch
-// loads tile i+1 while tile i computes, the same pipelining the PR 5
-// multi-GPU timeline applies to communication. Transfers are charged
+// loads tile i+1 while tile i computes, the same pipelining the multi-GPU
+// timeline applies to communication. Transfers are charged
 // through gpusim/interconnect in the modeled timeline; the measured
 // per-epoch transfer/stall/compute breakdown feeds cuprof spans and the
 // --metrics telemetry.
 //
 // Row updates are independent and every tile row carries its global row id,
-// so streamed training is bit-identical to AlsEngine on the same split —
-// the PR 5 regression bar — under any tile count, host budget, worker
-// count, or overlap setting.
+// so streamed training is bit-identical to AlsEngine on the same split
+// under any tile count, host budget, worker count, or overlap setting.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <future>
 #include <memory>
 #include <vector>
 
-#include "common/thread_pool.hpp"
 #include "core/als.hpp"
 #include "core/kernel_stats.hpp"
 #include "data/shards.hpp"
@@ -89,12 +86,14 @@ OocTimeline ooc_epoch_timeline(const gpusim::DeviceSpec& dev,
                                const gpusim::LinkSpec& link,
                                const ShardMeta& meta, bool overlap = true);
 
-/// Drop-in streamed counterpart of AlsEngine: constructed from a shard
-/// directory instead of a RatingsCoo, same epoch hook / restore /
-/// SolveStats surface, so cumf_train drives it through the same templated
-/// loop (checkpoint/resume, fault injection and the degradation ladder work
-/// unchanged). `options.workers` parallelizes rows *within* a tile.
-class OocAlsEngine {
+/// Streamed counterpart of AlsEngine: constructed from a shard directory
+/// instead of a RatingsCoo, it adds only the tile cache, the prefetch and
+/// OocEpochStats to the shared engine core, so cumf_train drives it through
+/// the same loop (checkpoint/resume, fault injection and the degradation
+/// ladder work unchanged). `options.workers` parallelizes rows *within* a
+/// tile. The tile schedule is a function of the epoch counter alone, so
+/// restore() re-enters the identical sweep sequence.
+class OocAlsEngine : public AlsEngineBase {
  public:
   OocAlsEngine(const std::string& shard_dir, const AlsOptions& options,
                const OocOptions& ooc);
@@ -102,44 +101,18 @@ class OocAlsEngine {
   /// One epoch: update-X streams the by-row tiles, update-Θ the by-col
   /// tiles, each in this sweep's serpentine order with single-slot
   /// prefetch (when overlap is active).
-  void run_epoch();
+  void run_epoch() override;
 
-  using EpochHook = std::function<void(int epoch)>;
-  void set_epoch_hook(EpochHook hook) { epoch_hook_ = std::move(hook); }
-
-  /// Same contract as AlsEngine::restore: epochs are deterministic (the
-  /// tile schedule is a function of the epoch counter alone), so the
-  /// continuation is bit-identical to never having stopped.
-  void restore(const Matrix& x, const Matrix& theta, int epochs_run,
-               const SolveStats& stats = SolveStats{});
-
-  int epochs_run() const noexcept { return epochs_; }
-  std::size_t f() const noexcept { return options_.f; }
-  const AlsOptions& options() const noexcept { return options_; }
   const ShardMeta& meta() const noexcept { return cache_.meta(); }
-  const Matrix& user_factors() const noexcept { return x_; }
-  const Matrix& item_factors() const noexcept { return theta_; }
 
   /// True when prefetch is actually running (requested overlap minus the
   /// device-budget fallback).
   bool overlap_active() const noexcept { return overlap_; }
 
-  SolveStats solve_stats() const noexcept;
-  const OpCounts& hermitian_ops_per_epoch() const noexcept {
-    return herm_ops_;
-  }
-  const OpCounts& solve_ops_per_epoch() const noexcept { return solve_ops_; }
-  using PhaseSeconds = AlsPhaseSeconds;
-  const PhaseSeconds& phase_seconds_last_epoch() const noexcept {
-    return phase_;
-  }
-
   /// Measured streaming breakdown of the last epoch.
   const OocEpochStats& ooc_stats_last_epoch() const noexcept {
     return ooc_stats_;
   }
-  /// Cumulative tile-cache counters since construction.
-  TileCache::Stats cache_stats() const { return cache_.stats(); }
   std::uint64_t cache_budget_bytes() const noexcept {
     return cache_.budget_bytes();
   }
@@ -155,23 +128,10 @@ class OocAlsEngine {
  private:
   void update_side(TileView view, const Matrix& fixed, Matrix& solved,
                    std::uint32_t fault_site);
-  void compute_tile(const CsrTile& tile, const Matrix& fixed, Matrix& solved,
-                    std::uint32_t fault_site);
 
-  AlsOptions options_;
   TileCache cache_;
   bool overlap_ = true;
-  Matrix x_;
-  Matrix theta_;
-  std::vector<AlsWorkerContext> workers_;
-  std::unique_ptr<ThreadPool> pool_;  ///< only when options_.workers > 1
-  int epochs_ = 0;
-  OpCounts herm_ops_;
-  OpCounts solve_ops_;
-  PhaseSeconds phase_;
   OocEpochStats ooc_stats_;
-  EpochHook epoch_hook_;
-  SolveStats restored_stats_;
 };
 
 }  // namespace cumf

@@ -91,6 +91,13 @@ std::string_view unframe(std::string_view magic, std::uint32_t version,
     throw FrameError(FrameReject::bad_crc, what,
                      "stored CRC does not match payload");
   }
+  // A frame is the whole file: anything after the CRC (say, another file
+  // concatenated onto this one) would otherwise be silently ignored.
+  const std::size_t extra = bytes.size() - kHeader - payload_len - 4;
+  if (extra != 0) {
+    throw FrameError(FrameReject::malformed, what,
+                     std::to_string(extra) + " bytes after the CRC");
+  }
   return payload;
 }
 

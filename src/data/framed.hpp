@@ -13,9 +13,9 @@
 //
 // The reader trusts nothing before it is checked: wrong magic, version
 // skew, a short file and a CRC mismatch each raise FrameError with a
-// distinct FrameReject reason, and the payload parsers add `malformed`
-// (CRC-valid but unparseable) and `mismatch` (valid, but for another run or
-// tile). Writers go through atomic_write_file, so a crash mid-write never
+// distinct FrameReject reason; bytes after the CRC and a CRC-valid but
+// unparseable payload are `malformed`, and the payload parsers add
+// `mismatch` (valid, but for another run or tile). Writers go through atomic_write_file, so a crash mid-write never
 // leaves a damaged file under a valid name.
 #pragma once
 
@@ -37,7 +37,7 @@ enum class FrameReject {
   version_skew,  ///< written by an incompatible format version
   truncated,     ///< shorter than its header promises (torn write)
   bad_crc,       ///< payload checksum mismatch (corruption)
-  malformed,     ///< CRC passed but the payload doesn't parse
+  malformed,     ///< bytes after the CRC, or a payload that doesn't parse
   mismatch,      ///< valid file, but for a different run, tile or dataset
 };
 
@@ -62,8 +62,9 @@ class FrameError : public CheckError {
 std::string frame(std::string_view magic, std::uint32_t version,
                   std::string_view payload);
 
-/// Validates magic, version, length and CRC and returns a view of the
-/// payload inside `bytes` (no copy). `what` names the artifact in errors.
+/// Validates magic, version, length and CRC, and that `bytes` ends exactly
+/// at the CRC, and returns a view of the payload inside `bytes` (no copy).
+/// `what` names the artifact in errors.
 std::string_view unframe(std::string_view magic, std::uint32_t version,
                          std::string_view bytes, std::string_view what);
 

@@ -524,65 +524,51 @@ TEST(MultiGpu, NnzBalancedShardsCoverRowsAndBalanceWork) {
   EXPECT_EQ(wide.back().end, small_csr.rows());
 }
 
+// `--gpus G` trains AlsEngine with G workers; these pin that the factors
+// and the merged solver accounting do not depend on the device count.
+
 TEST(MultiGpu, FourGpusMatchSingleGpuExactly) {
   const auto data = small_dataset(4000, 47);
   AlsOptions options;
   options.f = 16;
   options.solver.kind = SolverKind::CholeskyFp32;
 
-  MultiGpuAls single(data.ratings, options, 1);
-  MultiGpuAls quad(data.ratings, options, 4);
+  AlsEngine single(data.ratings, options);
+  options.workers = 4;
+  AlsEngine quad(data.ratings, options);
   for (int epoch = 0; epoch < 2; ++epoch) {
     single.run_epoch();
     quad.run_epoch();
   }
   EXPECT_EQ(single.user_factors(), quad.user_factors());
   EXPECT_EQ(single.item_factors(), quad.item_factors());
-  // Merged per-device SolveStats are integer sums, so they must match the
-  // single-device totals exactly, not approximately.
+  // Merged per-worker SolveStats are integer sums, so they must match the
+  // single-worker totals exactly, not approximately.
   EXPECT_EQ(single.solve_stats(), quad.solve_stats());
 }
 
-TEST(MultiGpu, MatchesAlsEngineBitForBit) {
-  // The concurrent sharded engine and the reference AlsEngine share the
-  // als_update_rows hot loop; with identical seeds the factors and the
-  // solver accounting must agree to the last bit, CG-FP16 quirks included.
-  const auto data = small_dataset(5000, 59);
-  AlsOptions options;
-  options.f = 16;
-  options.solver.kind = SolverKind::CgFp16;
-  options.solver.cg_fs = 5;
-
-  AlsEngine reference(data.ratings, options);
-  MultiGpuAls quad(data.ratings, options, 4);
-  for (int epoch = 0; epoch < 3; ++epoch) {
-    reference.run_epoch();
-    quad.run_epoch();
-  }
-  EXPECT_EQ(reference.user_factors(), quad.user_factors());
-  EXPECT_EQ(reference.item_factors(), quad.item_factors());
-  EXPECT_EQ(reference.solve_stats(), quad.solve_stats());
-  EXPECT_GT(quad.solve_stats().systems, 0u);
-}
-
 TEST(MultiGpu, StaticRowScheduleIsAlsoBitIdentical) {
-  // AlsSchedule::static_rows swaps the nnz-balanced device shards for the
-  // row-count split (the ablation baseline); any disjoint partition must
-  // produce the same factors.
+  // AlsSchedule::static_rows swaps the nnz-balanced chunks for one
+  // row-count range per worker (the ablation baseline); any disjoint
+  // partition must produce the same factors.
   const auto data = small_dataset(4000, 67);
   AlsOptions options;
   options.f = 12;
   options.schedule = AlsSchedule::static_rows;
 
-  MultiGpuAls single(data.ratings, options, 1);
-  MultiGpuAls quad(data.ratings, options, 4);
+  AlsEngine single(data.ratings, options);
+  options.workers = 4;
+  AlsEngine quad(data.ratings, options);
   for (int epoch = 0; epoch < 2; ++epoch) {
     single.run_epoch();
     quad.run_epoch();
   }
   EXPECT_EQ(single.user_factors(), quad.user_factors());
-  // The shards really are row-count cuts, not nnz cuts.
-  const auto& shards = quad.user_shards();
+  EXPECT_EQ(single.item_factors(), quad.item_factors());
+  EXPECT_EQ(single.solve_stats(), quad.solve_stats());
+  // The modeled device shards really are row-count cuts, not nnz cuts.
+  const auto shards = device_shards(quad.ratings_by_row(), 4,
+                                    AlsSchedule::static_rows);
   ASSERT_EQ(shards.size(), 4u);
   EXPECT_LE(shards[0].size() - shards[3].size(), 1u);
 }
@@ -590,7 +576,7 @@ TEST(MultiGpu, StaticRowScheduleIsAlsoBitIdentical) {
 TEST(MultiGpu, FaultInjectionCountsMatchDeviceCounts) {
   // Fault decisions are pure functions of (seed, site, row), so a plan
   // must corrupt exactly the same systems — and trigger exactly the same
-  // degradations — on 1 device, on 4 devices, and in AlsEngine.
+  // degradations — on 1 worker and on 4.
   const auto data = small_dataset(4000, 71);
   AlsOptions options;
   options.f = 16;
@@ -601,7 +587,7 @@ TEST(MultiGpu, FaultInjectionCountsMatchDeviceCounts) {
   plan.indefinite_a_prob = 0.05;
   plan.fp16_overflow_prob = 0.05;
 
-  const auto run_counts = [&](auto& engine) {
+  const auto run_counts = [&](AlsEngine& engine) {
     analysis::FaultInjector::instance().arm(plan);  // arm resets counts
     engine.run_epoch();
     engine.run_epoch();
@@ -609,43 +595,43 @@ TEST(MultiGpu, FaultInjectionCountsMatchDeviceCounts) {
     return std::pair{c.indefinite_a.load(), c.fp16_overflow.load()};
   };
 
-  AlsEngine reference(data.ratings, options);
-  MultiGpuAls quad(data.ratings, options, 4);
-  const auto ref_counts = run_counts(reference);
+  AlsEngine single(data.ratings, options);
+  options.workers = 4;
+  AlsEngine quad(data.ratings, options);
+  const auto single_counts = run_counts(single);
   const auto quad_counts = run_counts(quad);
   analysis::FaultInjector::instance().disarm();
 
-  EXPECT_GT(ref_counts.first + ref_counts.second, 0u);
-  EXPECT_EQ(ref_counts, quad_counts);
-  EXPECT_EQ(reference.user_factors(), quad.user_factors());
-  EXPECT_EQ(reference.item_factors(), quad.item_factors());
+  EXPECT_GT(single_counts.first + single_counts.second, 0u);
+  EXPECT_EQ(single_counts, quad_counts);
+  EXPECT_EQ(single.user_factors(), quad.user_factors());
+  EXPECT_EQ(single.item_factors(), quad.item_factors());
   // Degradation accounting (CG breakdowns -> LU fallbacks, FP16 overflow
-  // -> FP32 retries) merges across devices without loss.
-  EXPECT_EQ(reference.solve_stats(), quad.solve_stats());
+  // -> FP32 retries) merges across workers without loss.
+  EXPECT_EQ(single.solve_stats(), quad.solve_stats());
   EXPECT_GT(quad.solve_stats().cg_fallbacks, 0u);
   EXPECT_GT(quad.solve_stats().fp16_fallbacks, 0u);
 }
 
-TEST(MultiGpu, EpochHookAndRestoreContinueBitIdentically) {
+TEST(MultiGpu, RestoreOnOtherDeviceCountContinuesBitIdentically) {
   const auto data = small_dataset(3000, 73);
   AlsOptions options;
   options.f = 12;
+  options.workers = 4;
 
-  std::vector<int> hooked;
-  MultiGpuAls full(data.ratings, options, 4);
-  full.set_epoch_hook([&](int epoch) { hooked.push_back(epoch); });
+  AlsEngine full(data.ratings, options);
   full.run_epoch();
   full.run_epoch();
   const Matrix snap_x = full.user_factors();
   const Matrix snap_theta = full.item_factors();
   const SolveStats snap_stats = full.solve_stats();
   full.run_epoch();
-  EXPECT_EQ(hooked, (std::vector<int>{1, 2, 3}));
 
   // A fresh engine restored from the epoch-2 snapshot (with a different
-  // device count, like a post-crash resume on other hardware) must land on
+  // worker count, like a post-crash resume on other hardware) must land on
   // the same epoch-3 state and carry the stats baseline forward.
-  MultiGpuAls resumed(data.ratings, options, 2);
+  options.workers = 2;
+  AlsEngine resumed(data.ratings, options);
   resumed.restore(snap_x, snap_theta, 2, snap_stats);
   EXPECT_EQ(resumed.epochs_run(), 2);
   resumed.run_epoch();
@@ -657,32 +643,36 @@ TEST(MultiGpu, EpochHookAndRestoreContinueBitIdentically) {
 
 TEST(MultiGpu, EpochTimeImprovesWithMoreGpus) {
   const auto data = small_dataset(4000, 53);
-  AlsOptions options;
-  options.f = 20;
-  MultiGpuAls one(data.ratings, options, 1);
-  MultiGpuAls four(data.ratings, options, 4);
+  const auto r = CsrMatrix::from_coo(data.ratings);
+  const auto rt = r.transposed();
   const auto dev = gpusim::DeviceSpec::pascal_p100();
   const auto config = AlsKernelConfig{};
-  const double t1 = one.epoch_seconds(dev, config, gpusim::LinkSpec::nvlink());
-  const double t4 =
-      four.epoch_seconds(dev, config, gpusim::LinkSpec::nvlink());
+  const auto nvlink = gpusim::LinkSpec::nvlink();
+  const auto epoch_s = [&](int gpus) {
+    return multi_gpu_timeline(dev, config, nvlink, r, rt, gpus,
+                              AlsSchedule::nnz_guided)
+        .total_s();
+  };
+  const double t1 = epoch_s(1);
+  const double t4 = epoch_s(4);
   EXPECT_LT(t4, t1);
   EXPECT_GT(t4, t1 / 4.0);  // communication keeps it sublinear
 }
 
 TEST(MultiGpu, TimelineChargesInterconnectAndOverlap) {
   const auto data = small_dataset(6000, 79);
-  AlsOptions options;
-  options.f = 16;
-  MultiGpuAls four(data.ratings, options, 4);
+  const auto r = CsrMatrix::from_coo(data.ratings);
+  const auto rt = r.transposed();
   const auto dev = gpusim::DeviceSpec::pascal_p100();
   const AlsKernelConfig config{};
+  const auto nnz = AlsSchedule::nnz_guided;
 
   const auto nvlink = gpusim::LinkSpec::nvlink();
   const auto pcie = gpusim::LinkSpec::pcie3();
-  const auto overlapped = four.epoch_timeline(dev, config, nvlink);
-  const auto serial =
-      four.epoch_timeline(dev, config, nvlink, /*overlap=*/false);
+  const auto overlapped =
+      multi_gpu_timeline(dev, config, nvlink, r, rt, 4, nnz);
+  const auto serial = multi_gpu_timeline(dev, config, nvlink, r, rt, 4, nnz,
+                                         /*overlap=*/false);
   // Same wire traffic either way; overlap only changes the exposed part.
   EXPECT_DOUBLE_EQ(overlapped.update_x.comm_total_s,
                    serial.update_x.comm_total_s);
@@ -691,16 +681,15 @@ TEST(MultiGpu, TimelineChargesInterconnectAndOverlap) {
   EXPECT_LT(overlapped.total_s(), serial.total_s());
 
   // The slower link exposes more communication time.
-  const auto on_pcie = four.epoch_timeline(dev, config, pcie);
+  const auto on_pcie = multi_gpu_timeline(dev, config, pcie, r, rt, 4, nnz);
   EXPECT_GT(on_pcie.comm_s(), overlapped.comm_s());
 
   // One device pays no interconnect at all.
-  MultiGpuAls one(data.ratings, options, 1);
-  const auto alone = one.epoch_timeline(dev, config, nvlink);
+  const auto alone = multi_gpu_timeline(dev, config, nvlink, r, rt, 1, nnz);
   EXPECT_EQ(alone.comm_s(), 0.0);
 
   // And the scaling report is internally consistent.
-  const auto report = four.scaling_report(dev, config, nvlink);
+  const auto report = multi_gpu_scaling(dev, config, nvlink, r, rt, 4, nnz);
   EXPECT_EQ(report.gpus, 4);
   EXPECT_NEAR(report.total_s, report.compute_s + report.comm_s, 1e-12);
   EXPECT_NEAR(report.efficiency, report.speedup / 4.0, 1e-12);
@@ -708,6 +697,23 @@ TEST(MultiGpu, TimelineChargesInterconnectAndOverlap) {
   EXPECT_LT(report.speedup, 4.0);
   EXPECT_GT(report.comm_fraction, 0.0);
   EXPECT_LT(report.comm_fraction, 1.0);
+}
+
+TEST(MultiGpu, HalfSweepChargesEmptyShardsNothing) {
+  // A surplus device (more devices than rows) computes and sends nothing:
+  // the half-sweep equals the one without it apart from the ring length.
+  const auto dev = gpusim::DeviceSpec::pascal_p100();
+  const AlsKernelConfig config{};
+  const auto link = gpusim::LinkSpec::nvlink();
+  const UpdateShape busy{500, 80, 6000};
+  const std::vector<UpdateShape> with_idle = {busy, busy, UpdateShape{}};
+  const auto sweep = multi_gpu_half_sweep(dev, config, link, with_idle);
+  ASSERT_EQ(sweep.device_compute_s.size(), 3u);
+  EXPECT_EQ(sweep.device_compute_s[2], 0.0);
+  EXPECT_EQ(sweep.device_compute_s[0], sweep.device_compute_s[1]);
+  EXPECT_EQ(sweep.compute_s,
+            update_phase_times(dev, busy, config).total_seconds());
+  EXPECT_GT(sweep.comm_total_s, 0.0);
 }
 
 // ---------- kernel cost-model bridge ----------

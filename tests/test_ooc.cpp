@@ -190,6 +190,12 @@ TEST_F(ShardRejectTest, TornWriteIsTruncated) {
   EXPECT_EQ(load_reason(), FrameReject::truncated);
 }
 
+TEST_F(ShardRejectTest, AppendedBytesAreMalformed) {
+  // The frame itself is intact, but the file does not end at its CRC.
+  write_file(tile_, read_file(tile_) + "junk");
+  EXPECT_EQ(load_reason(), FrameReject::malformed);
+}
+
 TEST_F(ShardRejectTest, FutureVersionIsVersionSkew) {
   std::string bytes = read_file(tile_);
   const std::uint32_t future = kShardVersion + 1;

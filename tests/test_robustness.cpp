@@ -224,6 +224,8 @@ TEST(Checkpoint, RejectsTruncation) {
             FrameReject::truncated);
   EXPECT_EQ(reject_reason(bytes.substr(0, 10)), FrameReject::truncated);
   EXPECT_EQ(reject_reason(with_hostile_length(bytes)), FrameReject::truncated);
+  // The opposite of a torn write: a valid frame with bytes appended.
+  EXPECT_EQ(reject_reason(bytes + "junk"), FrameReject::malformed);
 }
 
 TEST(Checkpoint, RejectsCorruptedPayload) {
@@ -425,13 +427,19 @@ TEST(FramedFuzz, EveryReaderRejectsOnlyWithFrameError) {
       EXPECT_TRUE(rejects(r, bytes, "hostile header length", 12));
     }
     // Splices of two valid frames: a prefix of this reader's frame and the
-    // rest of another's, raw and repaired.
+    // rest of another's, raw and repaired. A raw splice cut past the end of
+    // the shorter frame is this frame truncated or with bytes appended, so
+    // it must be rejected unless it is this frame unchanged.
     for (const FramedReader& other : readers) {
       for (const std::size_t at : {8, 12, 20, 28, 64, 200}) {
         const std::string bytes =
             v.substr(0, std::min(at, v.size())) +
             other.valid.substr(std::min(at, other.valid.size()));
-        rejects(r, bytes, "splice", at);
+        const bool rejected = rejects(r, bytes, "splice", at);
+        if (at >= std::min(v.size(), other.valid.size()) && bytes != v) {
+          EXPECT_TRUE(rejected) << r.name << " + " << other.name << " at "
+                                << at;
+        }
         rejects(r, repaired(bytes), "repaired splice", at);
       }
     }
@@ -670,7 +678,7 @@ TEST(FaultInjection, DecisionsAreDeterministic) {
   EXPECT_LT(std::count(first.begin(), first.end(), true), 200);
 }
 
-// ---------- AlsEngine: hooks, restore, training under faults ----------
+// ---------- AlsEngine: restore, training under faults ----------
 
 RatingsCoo tiny_ratings() {
   SyntheticConfig cfg;
@@ -691,16 +699,6 @@ AlsOptions tiny_options(SolverKind kind) {
   options.workers = 2;
   options.seed = 1;
   return options;
-}
-
-TEST(AlsResume, EpochHookFiresWithTheNewCounter) {
-  AlsEngine engine(tiny_ratings(), tiny_options(SolverKind::CgFp32));
-  std::vector<int> seen;
-  engine.set_epoch_hook([&seen](int epoch) { seen.push_back(epoch); });
-  engine.run_epoch();
-  engine.run_epoch();
-  engine.run_epoch();
-  EXPECT_EQ(seen, (std::vector<int>{1, 2, 3}));
 }
 
 TEST(AlsResume, RestoredRunIsBitIdenticalToUninterrupted) {

@@ -244,6 +244,7 @@ TEST(TunePersist, RejectionTaxonomy) {
   EXPECT_EQ(reject_reason(good.substr(0, good.size() - 3)),
             FrameReject::truncated);
   EXPECT_EQ(reject_reason(with_hostile_length(good)), FrameReject::truncated);
+  EXPECT_EQ(reject_reason(good + good), FrameReject::malformed);
 
   bad = good;
   bad[40] ^= 0x5a;  // flip a payload byte; frame stays intact

@@ -20,11 +20,13 @@
 //                  values. A config for a different device/dataset/f/lambda
 //                  is a hard error naming the mismatch.
 //   --workers N    host threads (default 1)
-//   --gpus N       train on N simulated devices (MultiGpuAls): nnz-balanced
-//                  row shards run concurrently, one solver+workspace per
-//                  device; factors are bit-identical to the single-engine
-//                  run. Adds the modeled multi-device timeline (compute,
-//                  all-gather, scaling efficiency) to --metrics records.
+//   --gpus N       train on N simulated devices: N workers update rows
+//                  concurrently, one solver+workspace each (the factors do
+//                  not depend on the split, so they are bit-identical to
+//                  the single-device run), and the modeled N-device
+//                  timeline over nnz-balanced row shards (compute,
+//                  all-gather, scaling efficiency) is added to --metrics
+//                  records.
 //   --link L       interconnect for the multi-GPU / out-of-core transfer
 //                  model: pcie3 | nvlink (default nvlink)
 //   --shards DIR   train out-of-core from a shard store built by
@@ -89,9 +91,9 @@
 #include <cstring>
 #include <filesystem>
 #include <limits>
+#include <memory>
 #include <optional>
 #include <string>
-#include <type_traits>
 #include <vector>
 
 #include "analysis/cuverify/fp16range.hpp"
@@ -195,7 +197,7 @@ SolverKind parse_solver(const std::string& name) {
 }
 
 /// Everything the explicit training loop needs besides the engine and the
-/// data. One struct so the loop can be a template over the engine type.
+/// data.
 struct ExplicitConfig {
   std::string ratings_path;
   std::string metrics_path;
@@ -209,7 +211,7 @@ struct ExplicitConfig {
   int bin = 32;   ///< hermitian BIN batching factor
   AlsSchedule schedule = AlsSchedule::nnz_guided;
   int workers = 1;
-  int gpus = 0;  ///< 0 = single-engine path (no --gpus given)
+  int gpus = 0;  ///< 0 = no --gpus: no modeled multi-device timeline
   std::string link_name = "nvlink";
   std::uint64_t seed = 1;
   int checkpoint_every = 1;
@@ -251,19 +253,16 @@ struct RunSummary {
   std::vector<EnginePhase> engine_phases;
 };
 
-/// The explicit-ALS epoch loop, templated over the engine so AlsEngine and
-/// MultiGpuAls share one implementation of resume, telemetry, checkpointing
-/// and fault-crash handling. Both engines expose the same surface
-/// (run_epoch / restore / solve_stats / factors / per-epoch ops), and their
-/// results are bit-identical, so everything but the multi-GPU timeline
-/// model is engine-agnostic.
-template <class Engine>
-int run_explicit(Engine& engine, const ExplicitConfig& cfg,
+/// The explicit-ALS epoch loop: one implementation of resume, telemetry,
+/// checkpointing and fault-crash handling for the in-core and the streamed
+/// engine. The multi-GPU timeline model is added when cfg.gpus > 0 (the
+/// engine is then an in-core AlsEngine with one worker per device), the
+/// streaming records when the engine is an OocAlsEngine.
+int run_explicit(AlsEngineBase& engine, const ExplicitConfig& cfg,
                  const RatingsCoo& ratings, const TrainTestSplit& split,
                  Rng& rng, FactorModel& model, SolveStats& final_stats,
                  RunSummary& summary) {
-  constexpr bool kMultiGpu = std::is_same_v<Engine, MultiGpuAls>;
-  constexpr bool kOoc = std::is_same_v<Engine, OocAlsEngine>;
+  const auto* streamed = dynamic_cast<const OocAlsEngine*>(&engine);
   Stopwatch sw;
 
   // Resume: load and validate the newest checkpoint before training (and
@@ -319,67 +318,62 @@ int run_explicit(Engine& engine, const ExplicitConfig& cfg,
     std::filesystem::create_directories(cfg.checkpoint_dir);
   }
 
-  // Modeled multi-device timeline: cost-model compute per shard plus the
-  // ring all-gather over the chosen link, with pipelined overlap. The
-  // kernels (and therefore the model) are epoch-invariant, so evaluate
-  // once and surface the same numbers in every epoch record.
-  MultiGpuScaling scaling;
-  [[maybe_unused]] MultiGpuTimeline mgpu_timeline;
-  const auto mgpu_dev = gpusim::DeviceSpec::pascal_p100();
-  if constexpr (kMultiGpu) {
-    const gpusim::LinkSpec link = gpusim::link_by_name(cfg.link_name);
-    AlsKernelConfig kc;
-    kc.f = cfg.f;
-    kc.tile = pick_tile(static_cast<std::size_t>(cfg.f), cfg.tile);
-    kc.bin = cfg.bin;
-    kc.solver = cfg.solver;
-    kc.cg_fs = cfg.fs;
-    scaling = engine.scaling_report(mgpu_dev, kc, link);
-    mgpu_timeline = engine.epoch_timeline(mgpu_dev, kc, link);
-    std::printf(
-        "multi-GPU model (%d x %s on %s): epoch %.3f s vs %.3f s on one "
-        "device — speedup %.2fx, efficiency %.0f%%, comm %.1f%%\n",
-        engine.gpus(), link.name.c_str(), mgpu_dev.name.c_str(),
-        scaling.total_s, scaling.single_gpu_s, scaling.speedup,
-        scaling.efficiency * 100.0, scaling.comm_fraction * 100.0);
-  }
-
-  // Modeled streamed-epoch timeline: per-tile transfers over the chosen
-  // link pipelined against per-tile compute. Like the multi-GPU model this
-  // is epoch-invariant, so evaluate once.
-  [[maybe_unused]] OocTimeline ooc_timeline;
-  if constexpr (kOoc) {
-    const gpusim::LinkSpec link = gpusim::link_by_name(cfg.link_name);
-    AlsKernelConfig kc;
-    kc.f = cfg.f;
-    kc.tile = pick_tile(static_cast<std::size_t>(cfg.f), cfg.tile);
-    kc.bin = cfg.bin;
-    kc.solver = cfg.solver;
-    kc.cg_fs = cfg.fs;
-    ooc_timeline = engine.epoch_timeline(mgpu_dev, kc, link,
-                                         engine.overlap_active());
-    std::printf(
-        "out-of-core model (%zu+%zu tiles over %s on %s): epoch %.3f s "
-        "(serial %.3f s, overlap gain %.2fx)%s\n",
-        engine.meta().row_tiles.size(), engine.meta().col_tiles.size(),
-        link.name.c_str(), mgpu_dev.name.c_str(), ooc_timeline.pipelined_s,
-        ooc_timeline.serial_s, ooc_timeline.overlap_gain,
-        engine.overlap_active() ? "" : " [overlap disabled]");
-  }
-
-  prof::TelemetryWriter telemetry;
-  gpusim::TraceStats cache_sim;
-  const bool have_test = split.test.nnz() > 0;
-  // The modeled device, kernel config and shape feed both the telemetry
-  // (cache sim, header) and the cuscope roofline verdicts, which
-  // --prof-summary wants even without --metrics.
-  const auto dev = gpusim::DeviceSpec::maxwell_titan_x();
+  // The modeled kernel config feeds the multi-GPU and streaming timelines,
+  // the telemetry (cache sim, header) and the cuscope roofline verdicts,
+  // which --prof-summary wants even without --metrics.
   AlsKernelConfig kc;
   kc.f = cfg.f;
   kc.tile = pick_tile(static_cast<std::size_t>(cfg.f), cfg.tile);
   kc.bin = cfg.bin;
   kc.solver = cfg.solver;
   kc.cg_fs = cfg.fs;
+
+  // Modeled multi-device timeline: cost-model compute per shard plus the
+  // ring all-gather over the chosen link, with pipelined overlap. The
+  // kernels (and therefore the model) are epoch-invariant, so evaluate
+  // once and surface the same numbers in every epoch record.
+  MultiGpuScaling scaling;
+  MultiGpuTimeline mgpu_timeline;
+  const auto mgpu_dev = gpusim::DeviceSpec::pascal_p100();
+  if (cfg.gpus > 0) {
+    // --gpus is in-core only, so the CSR views are resident.
+    const auto& in_core = dynamic_cast<const AlsEngine&>(engine);
+    const gpusim::LinkSpec link = gpusim::link_by_name(cfg.link_name);
+    scaling = multi_gpu_scaling(mgpu_dev, kc, link, in_core.ratings_by_row(),
+                                in_core.ratings_by_col(), cfg.gpus,
+                                cfg.schedule);
+    mgpu_timeline = multi_gpu_timeline(
+        mgpu_dev, kc, link, in_core.ratings_by_row(),
+        in_core.ratings_by_col(), cfg.gpus, cfg.schedule);
+    std::printf(
+        "multi-GPU model (%d x %s on %s): epoch %.3f s vs %.3f s on one "
+        "device — speedup %.2fx, efficiency %.0f%%, comm %.1f%%\n",
+        cfg.gpus, link.name.c_str(), mgpu_dev.name.c_str(), scaling.total_s,
+        scaling.single_gpu_s, scaling.speedup, scaling.efficiency * 100.0,
+        scaling.comm_fraction * 100.0);
+  }
+
+  // Modeled streamed-epoch timeline: per-tile transfers over the chosen
+  // link pipelined against per-tile compute. Like the multi-GPU model this
+  // is epoch-invariant, so evaluate once.
+  OocTimeline ooc_timeline;
+  if (streamed != nullptr) {
+    const gpusim::LinkSpec link = gpusim::link_by_name(cfg.link_name);
+    ooc_timeline = streamed->epoch_timeline(mgpu_dev, kc, link,
+                                            streamed->overlap_active());
+    std::printf(
+        "out-of-core model (%zu+%zu tiles over %s on %s): epoch %.3f s "
+        "(serial %.3f s, overlap gain %.2fx)%s\n",
+        streamed->meta().row_tiles.size(), streamed->meta().col_tiles.size(),
+        link.name.c_str(), mgpu_dev.name.c_str(), ooc_timeline.pipelined_s,
+        ooc_timeline.serial_s, ooc_timeline.overlap_gain,
+        streamed->overlap_active() ? "" : " [overlap disabled]");
+  }
+
+  prof::TelemetryWriter telemetry;
+  gpusim::TraceStats cache_sim;
+  const bool have_test = split.test.nnz() > 0;
+  const auto dev = gpusim::DeviceSpec::maxwell_titan_x();
   const UpdateShape shape{static_cast<double>(ratings.rows()),
                           static_cast<double>(ratings.cols()),
                           static_cast<double>(cfg.train_nnz)};
@@ -433,8 +427,8 @@ int run_explicit(Engine& engine, const ExplicitConfig& cfg,
     mdl.set("solve_flops", cx.solve_compute);
     mdl.set("solve_bytes", cx.solve_memory);
     header.set_raw("model", mdl.str());
-    if constexpr (kMultiGpu) {
-      header.set("gpus", engine.gpus());
+    if (cfg.gpus > 0) {
+      header.set("gpus", cfg.gpus);
       header.set("link", cfg.link_name);
       header.set("mgpu_sim_device", mgpu_dev.name);
       // Per-device modeled compute (update-X + update-Θ shards summed):
@@ -445,17 +439,17 @@ int run_explicit(Engine& engine, const ExplicitConfig& cfg,
       }
       header.set_array("mgpu_device_compute_s", per_device);
     }
-    if constexpr (kOoc) {
+    if (streamed != nullptr) {
       header.set("mode", "ooc");
       header.set("shards", cfg.shard_dir);
       header.set("link", cfg.link_name);
       header.set("host_mem_bytes", cfg.host_mem);
       header.set("device_mem_bytes", cfg.device_mem);
-      header.set("overlap", engine.overlap_active());
-      header.set("row_tiles",
-                 static_cast<std::uint64_t>(engine.meta().row_tiles.size()));
-      header.set("col_tiles",
-                 static_cast<std::uint64_t>(engine.meta().col_tiles.size()));
+      header.set("overlap", streamed->overlap_active());
+      header.set("row_tiles", static_cast<std::uint64_t>(
+                                  streamed->meta().row_tiles.size()));
+      header.set("col_tiles", static_cast<std::uint64_t>(
+                                  streamed->meta().col_tiles.size()));
     }
     if (resumed) {
       header.set("resumed_from_epoch",
@@ -569,7 +563,7 @@ int run_explicit(Engine& engine, const ExplicitConfig& cfg,
         pack.t_compute = elems / (dev.peak_flops * dev.compute_efficiency);
         last_verdicts.push_back(prof::classify(pack));
       }
-      if constexpr (kMultiGpu) {
+      if (cfg.gpus > 0) {
         prof::PhaseSample mg;
         mg.phase = prof::kPhaseMgpuAllGather;
         mg.wall_s = scaling.total_s;
@@ -577,8 +571,8 @@ int run_explicit(Engine& engine, const ExplicitConfig& cfg,
         mg.t_comm = scaling.comm_s;
         last_verdicts.push_back(prof::classify(mg));
       }
-      if constexpr (kOoc) {
-        const OocEpochStats& os = engine.ooc_stats_last_epoch();
+      if (streamed != nullptr) {
+        const OocEpochStats& os = streamed->ooc_stats_last_epoch();
         prof::PhaseSample st;
         st.phase = prof::kPhaseOocStream;
         st.wall_s = os.stall_s + os.compute_s;
@@ -650,9 +644,9 @@ int run_explicit(Engine& engine, const ExplicitConfig& cfg,
       sim.set("dram_bytes", cache_sim.dram_bytes(128));
       rec.set_raw("sim_cache", sim.str());
 
-      if constexpr (kMultiGpu) {
+      if (cfg.gpus > 0) {
         prof::JsonObject mg;
-        mg.set("gpus", engine.gpus());
+        mg.set("gpus", cfg.gpus);
         mg.set("link", cfg.link_name);
         mg.set("compute_s", scaling.compute_s);
         mg.set("comm_s", scaling.comm_s);
@@ -664,12 +658,12 @@ int run_explicit(Engine& engine, const ExplicitConfig& cfg,
         rec.set_raw("multi_gpu", mg.str());
       }
 
-      if constexpr (kOoc) {
+      if (streamed != nullptr) {
         // Measured streaming breakdown of this epoch plus the (epoch-
         // invariant) modeled transfer pipeline. stall_s is the exposed
         // wait; load_s is total time inside tile loads, which overlaps
         // compute when prefetch is on.
-        const OocEpochStats& os = engine.ooc_stats_last_epoch();
+        const OocEpochStats& os = streamed->ooc_stats_last_epoch();
         prof::JsonObject ooc;
         ooc.set("stall_s", os.stall_s);
         ooc.set("compute_s", os.compute_s);
@@ -678,7 +672,7 @@ int run_explicit(Engine& engine, const ExplicitConfig& cfg,
         ooc.set("cache_hits", os.cache_hits);
         ooc.set("cache_misses", os.cache_misses);
         ooc.set("bytes_loaded", os.bytes_loaded);
-        ooc.set("overlap", engine.overlap_active());
+        ooc.set("overlap", streamed->overlap_active());
         ooc.set("model_transfer_s", ooc_timeline.transfer_s);
         ooc.set("model_compute_s", ooc_timeline.compute_s);
         ooc.set("model_serial_s", ooc_timeline.serial_s);
@@ -764,8 +758,8 @@ int run_explicit(Engine& engine, const ExplicitConfig& cfg,
   }
   summary.roof_device = dev.name;
   summary.verdicts = std::move(last_verdicts);
-  if constexpr (kOoc) {
-    const OocEpochStats& os = engine.ooc_stats_last_epoch();
+  if (streamed != nullptr) {
+    const OocEpochStats& os = streamed->ooc_stats_last_epoch();
     const double wall = os.stall_s + os.compute_s;
     const auto pct = [wall](double s) {
       return wall > 0 ? s / wall * 100.0 : 0.0;
@@ -776,7 +770,7 @@ int run_explicit(Engine& engine, const ExplicitConfig& cfg,
     summary.engine_phases.push_back(
         {"ooc_compute", os.compute_s, pct(os.compute_s)});
   }
-  if constexpr (kMultiGpu) {
+  if (cfg.gpus > 0) {
     const double wall = scaling.total_s;
     const auto pct = [wall](double s) {
       return wall > 0 ? s / wall * 100.0 : 0.0;
@@ -813,7 +807,7 @@ int cmd_train(int argc, char** argv) {
   std::string autotune_path;
   int workers = 1;
   bool workers_given = false;
-  int gpus = 0;  // 0 = --gpus not given: single-engine AlsEngine path
+  int gpus = 0;  // 0 = --gpus not given: --workers sets the parallelism
   std::string link_name = "nvlink";
   bool link_given = false;
   std::optional<double> implicit_alpha;
@@ -1298,10 +1292,10 @@ int cmd_train(int argc, char** argv) {
                 to_string(solver), sw.seconds());
     model = FactorModel{fitted.user_factors(), fitted.item_factors()};
   } else {
-    // Explicit path: drive AlsEngine (or, with --gpus, its multi-device
-    // counterpart) through the shared run_explicit loop so every epoch
-    // yields a test RMSE point and, with --metrics, one telemetry record.
-    // The two engines produce bit-identical factors.
+    // Explicit path: drive AlsEngine (with --gpus G, one worker per
+    // device; with --shards, the streamed OocAlsEngine) through the shared
+    // run_explicit loop so every epoch yields a test RMSE point and, with
+    // --metrics, one telemetry record. All produce bit-identical factors.
     AlsOptions options;
     options.f = static_cast<std::size_t>(f);
     options.lambda = static_cast<real_t>(lambda);
@@ -1311,7 +1305,7 @@ int cmd_train(int argc, char** argv) {
     options.hermitian.tile = pick_tile(static_cast<std::size_t>(f), tile);
     options.hermitian.bin = bin;
     options.schedule = schedule;
-    options.workers = workers;
+    options.workers = gpus > 0 ? gpus : workers;
     options.seed = seed;
 
     ExplicitConfig cfg;
@@ -1344,29 +1338,25 @@ int cmd_train(int argc, char** argv) {
       cfg.tuned_json = tune::tuned_config_payload(*tuned);
     }
 
-    int rc = 0;
+    std::unique_ptr<AlsEngineBase> engine;
     if (ooc) {
       OocOptions ooc_options;
       ooc_options.host_mem_bytes = host_mem;
       ooc_options.device_mem_bytes = device_mem;
       ooc_options.overlap = ooc_overlap;
-      OocAlsEngine engine(shard_dir, options, ooc_options);
-      if (ooc_overlap && !engine.overlap_active()) {
+      auto streamed =
+          std::make_unique<OocAlsEngine>(shard_dir, options, ooc_options);
+      if (ooc_overlap && !streamed->overlap_active()) {
         std::fprintf(stderr,
                      "cumf_train: note: budgets too small to double-buffer "
                      "tiles; prefetch disabled (synchronous loads)\n");
       }
-      rc = run_explicit(engine, cfg, ratings, split, rng, model,
-                        final_stats, summary);
-    } else if (gpus >= 1) {
-      MultiGpuAls engine(split.train, options, gpus);
-      rc = run_explicit(engine, cfg, ratings, split, rng, model,
-                        final_stats, summary);
+      engine = std::move(streamed);
     } else {
-      AlsEngine engine(split.train, options);
-      rc = run_explicit(engine, cfg, ratings, split, rng, model,
-                        final_stats, summary);
+      engine = std::make_unique<AlsEngine>(split.train, options);
     }
+    const int rc = run_explicit(*engine, cfg, ratings, split, rng, model,
+                                final_stats, summary);
     if (rc != 0) {
       return rc;
     }
