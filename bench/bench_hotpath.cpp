@@ -1,7 +1,8 @@
 // bench_hotpath — the SIMD / scheduling regression harness.
 //
 // Measures the three vectorized hot paths (dense primitives, get_hermitian,
-// CG solve) with the scalar and SIMD KernelPath side by side, plus the
+// CG solve) with the scalar and SIMD KernelPath side by side, the batched
+// CG solve against one-system solves, plus the
 // static vs nnz-guided epoch schedule on a power-law dataset, and writes a
 // machine-readable BENCH_hotpath.json for tools/bench_compare.py and the CI
 // perf-smoke gate. See docs/performance.md for how to read the numbers.
@@ -22,6 +23,8 @@
 #include "common/rng.hpp"
 #include "common/stopwatch.hpp"
 #include "core/als.hpp"
+#include "core/solver.hpp"
+#include "linalg/cg_batch.hpp"
 #include "data/generator.hpp"
 #include "half/half.hpp"
 #include "half/half_simd.hpp"
@@ -298,6 +301,78 @@ int main(int argc, char** argv) {
   std::printf("\n  cg fp16/fp32 wall-time ratio (fs=6, simd): %.2fx\n",
               fp16_over_fp32);
 
+  // --- batched CG: 8 systems per solve_batch vs 8 solve() calls ---------
+  // ns per system, both through SystemSolver on the SIMD path (pack, FP16
+  // checks and unpack included). The "scalar" column holds the one-system
+  // solve, the "simd" column the batch.
+  std::printf("\n");
+  double batch_ns[2] = {0.0, 0.0};
+  {
+    std::vector<real_t> a8;
+    std::vector<real_t> b8;
+    for (std::size_t l = 0; l < kCgBatch; ++l) {
+      const auto al = spd_matrix(f, rng);
+      const auto bl = random_vec(f, rng);
+      a8.insert(a8.end(), al.begin(), al.end());
+      b8.insert(b8.end(), bl.begin(), bl.end());
+    }
+    const auto x_entry = random_vec(kCgBatch * f, rng);
+    std::vector<real_t> x8 = x_entry;
+    std::vector<std::span<real_t>> xs;
+    for (std::size_t l = 0; l < kCgBatch; ++l) {
+      xs.emplace_back(x8.data() + l * f, f);
+    }
+    for (const SolverKind kind : {SolverKind::CgFp16, SolverKind::CgFp32}) {
+      SolverOptions o;
+      o.kind = kind;
+      o.cg_fs = 6;
+      o.cg_eps = 0;  // every system runs all fs iterations
+      o.path = simd::KernelPath::simd;
+      SystemSolver solver(f, o);
+      const bool fp16 = kind == SolverKind::CgFp16;
+      KernelRow row;
+      row.name = fp16 ? "cg_fp16_f100_fs6_batch8" : "cg_fp32_f100_fs6_batch8";
+      row.scalar.ns_per_op =
+          time_ns(
+              [&] {
+                std::copy(x_entry.begin(), x_entry.end(), x8.begin());
+                for (std::size_t l = 0; l < kCgBatch; ++l) {
+                  g_sink = solver.solve(
+                      std::span<const real_t>(a8).subspan(l * f * f, f * f),
+                      std::span<const real_t>(b8).subspan(l * f, f), xs[l]);
+                }
+              },
+              min_seconds, 10) /
+          kCgBatch;
+      row.simd.ns_per_op =
+          time_ns(
+              [&] {
+                std::copy(x_entry.begin(), x_entry.end(), x8.begin());
+                g_sink = solver.solve_batch(kCgBatch, a8, b8, xs);
+              },
+              min_seconds, 10) /
+          kCgBatch;
+      const double flops = 6 * (2.0 * f * f + 10.0 * f);
+      const double bytes = 6.0 * f * f * (fp16 ? sizeof(half) : sizeof(real_t));
+      for (Measurement* m : {&row.scalar, &row.simd}) {
+        m->gflops = flops / m->ns_per_op;
+        m->gbytes = bytes / m->ns_per_op;
+      }
+      row.speedup = row.scalar.ns_per_op / row.simd.ns_per_op;
+      std::printf("  %-28s single %10.1f ns   batch8 %8.1f ns   %5.2fx"
+                  "   (%.2f GFLOP/s batched, ns per system)\n",
+                  row.name.c_str(), row.scalar.ns_per_op, row.simd.ns_per_op,
+                  row.speedup, row.simd.gflops);
+      speedups[fp16 ? "cg_batch8_fp16_fs6" : "cg_batch8_fp32_fs6"] =
+          row.speedup;
+      batch_ns[fp16 ? 0 : 1] = row.simd.ns_per_op;
+      rows.push_back(row);
+    }
+  }
+  const double batch_fp16_over_fp32 = batch_ns[0] / batch_ns[1];
+  std::printf("  batched cg fp16/fp32 wall-time ratio (fs=6): %.2fx\n",
+              batch_fp16_over_fp32);
+
   // --- schedule: static rows vs nnz-guided on a power-law epoch --------
   std::printf("\n");
   SyntheticConfig sched_cfg;
@@ -391,7 +466,8 @@ int main(int argc, char** argv) {
   }
   out << "  },\n  \"slowdowns\": {\n"
       << "    \"cg_fp16_over_fp32_walltime_fs6\": " << json_num(fp16_over_fp32)
-      << "\n  },\n  \"schedule\": {\n";
+      << ",\n    \"cg_batch8_fp16_over_fp32_walltime_fs6\": "
+      << json_num(batch_fp16_over_fp32) << "\n  },\n  \"schedule\": {\n";
   for (auto it = sched_json.begin(); it != sched_json.end(); ++it) {
     out << "    \"" << it->first << "\": " << json_num(it->second)
         << (std::next(it) != sched_json.end() ? "," : "") << "\n";

@@ -6,27 +6,54 @@ namespace cumf {
 
 namespace {
 
-constexpr std::array<std::uint32_t, 256> make_table() {
-  std::array<std::uint32_t, 256> table{};
+using Table = std::array<std::array<std::uint32_t, 256>, 8>;
+
+/// kTables[0] is the classic byte-at-a-time table; kTables[k][i] is the CRC
+/// of byte i followed by k zero bytes, so eight lookups advance the CRC over
+/// eight bytes at once (slicing-by-8).
+constexpr Table make_tables() {
+  Table t{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int k = 0; k < 8; ++k) {
       c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
     }
-    table[i] = c;
+    t[0][i] = c;
   }
-  return table;
+  for (std::size_t k = 1; k < t.size(); ++k) {
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
+    }
+  }
+  return t;
 }
 
-constexpr std::array<std::uint32_t, 256> kTable = make_table();
+constexpr Table kTables = make_tables();
+
+/// Little-endian 32-bit load from any alignment (one plain load on
+/// little-endian targets).
+std::uint32_t load_le32(const unsigned char* p) noexcept {
+  return static_cast<std::uint32_t>(p[0]) |
+         static_cast<std::uint32_t>(p[1]) << 8 |
+         static_cast<std::uint32_t>(p[2]) << 16 |
+         static_cast<std::uint32_t>(p[3]) << 24;
+}
 
 }  // namespace
 
 std::uint32_t crc32(std::uint32_t crc, const void* data, std::size_t n) {
   const auto* p = static_cast<const unsigned char*>(data);
   crc = ~crc;
-  for (std::size_t i = 0; i < n; ++i) {
-    crc = kTable[(crc ^ p[i]) & 0xFFu] ^ (crc >> 8);
+  for (; n >= 8; n -= 8, p += 8) {
+    const std::uint32_t lo = load_le32(p) ^ crc;
+    const std::uint32_t hi = load_le32(p + 4);
+    crc = kTables[7][lo & 0xFFu] ^ kTables[6][(lo >> 8) & 0xFFu] ^
+          kTables[5][(lo >> 16) & 0xFFu] ^ kTables[4][lo >> 24] ^
+          kTables[3][hi & 0xFFu] ^ kTables[2][(hi >> 8) & 0xFFu] ^
+          kTables[1][(hi >> 16) & 0xFFu] ^ kTables[0][hi >> 24];
+  }
+  for (; n > 0; --n, ++p) {
+    crc = kTables[0][(crc ^ *p) & 0xFFu] ^ (crc >> 8);
   }
   return ~crc;
 }

@@ -1,7 +1,9 @@
 #include "core/als.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <span>
 
 #include "analysis/faultinject.hpp"
 #include "common/check.hpp"
@@ -72,32 +74,84 @@ AlsEngine::AlsEngine(const RatingsCoo& train, const AlsOptions& options)
   warm_start(r_.rows(), r_.cols(), canonical.mean_value());
 }
 
+namespace {
+
+/// Adds the modeled ops of one successful solve of `options.solver.kind`.
+void count_solve_ops(const AlsOptions& options, OpCounts& ops) {
+  constexpr double kReal = sizeof(real_t);
+  const double ff = static_cast<double>(options.f);
+  if (options.solver.kind == SolverKind::CgFp32 ||
+      options.solver.kind == SolverKind::PcgFp32 ||
+      options.solver.kind == SolverKind::CgFp16) {
+    const double a_elem_bytes = options.solver.kind == SolverKind::CgFp16
+                                    ? sizeof(half)
+                                    : sizeof(real_t);
+    const double fs = options.solver.cg_fs;
+    ops.flops += fs * (2.0 * ff * ff + 10.0 * ff);
+    // fs sweeps over A (half-width for the FP16 solver) plus the CG
+    // warm start reading the previous x_u once.
+    ops.bytes_read += fs * ff * ff * a_elem_bytes + ff * kReal;
+  } else {
+    ops.flops += (2.0 / 3.0) * ff * ff * ff;
+    ops.bytes_read += ff * ff * kReal;
+  }
+  ops.bytes_written += ff * kReal;
+}
+
+}  // namespace
+
 void als_update_rows(const AlsOptions& options, const CsrMatrix& ratings,
                      const Matrix& fixed, Matrix& solved, index_t begin,
                      index_t end, std::uint32_t fault_site,
                      AlsWorkerContext& ctx, index_t row_offset) {
   const std::size_t f = options.f;
+  const std::size_t width = ctx.solver.batch_width();
   // One flag check per chunk: when the cuprof tracer is off the loop runs
   // the plain hot path with no clock reads (and with CUMF_PROF=OFF this
   // whole branch folds to `false` at compile time anyway).
   const bool profiled = prof::Tracer::enabled();
+  // Systems assembled for the next batch solve: lane l's A and b sit in
+  // slot l of the worker's scratch, and pending_x[l] is its factor row.
+  std::array<std::span<real_t>, kCgBatch> pending_x;
+  std::size_t pending = 0;
+  const auto solve_pending = [&] {
+    const std::uint64_t t0 = profiled ? prof::now_ns() : 0;
+    const std::uint32_t ok = ctx.solver.solve_batch(
+        pending, ctx.a_scratch, ctx.b_scratch,
+        std::span<const std::span<real_t>>(pending_x.data(), pending));
+    if (profiled) {
+      const std::uint64_t t1 = prof::now_ns();
+      prof::Tracer::instance().complete_span("solve", "als", t0, t1);
+      ctx.solve_ns += t1 - t0;
+    }
+    // A system even the exact fallback could not solve (a corrupted or
+    // singular system — impossible for healthy data with λ > 0) keeps its
+    // previous factor: the solver restored the row and counted the
+    // failure, and training continues on the other rows.
+    for (std::size_t l = 0; l < pending; ++l) {
+      if ((ok >> l & 1u) != 0) {
+        count_solve_ops(options, ctx.solve_ops);
+      }
+    }
+    pending = 0;
+  };
+
   for (index_t u = begin; u < end; ++u) {
     const index_t nnz_u = ratings.row_nnz(u);
     if (nnz_u == 0) {
       continue;  // unobserved row: keep the previous factor
     }
+    const std::span<real_t> a(ctx.a_scratch.data() + pending * f * f, f * f);
+    const std::span<real_t> b(ctx.b_scratch.data() + pending * f, f);
     const std::uint64_t t0 = profiled ? prof::now_ns() : 0;
     if (options.tiled_hermitian) {
-      get_hermitian_row(ratings, fixed, u, options.lambda,
-                        options.hermitian, ctx.ws, ctx.a_scratch,
-                        ctx.b_scratch, options.solver.path);
+      get_hermitian_row(ratings, fixed, u, options.lambda, options.hermitian,
+                        ctx.ws, a, b, options.solver.path);
     } else {
-      get_hermitian_row_reference(ratings, fixed, u, options.lambda,
-                                  ctx.a_scratch, ctx.b_scratch);
+      get_hermitian_row_reference(ratings, fixed, u, options.lambda, a, b);
     }
-    std::uint64_t t1 = 0;
     if (profiled) {
-      t1 = prof::now_ns();
+      const std::uint64_t t1 = prof::now_ns();
       prof::Tracer::instance().complete_span("get_hermitian", "als", t0, t1);
       ctx.herm_ns += t1 - t0;
     }
@@ -108,8 +162,7 @@ void als_update_rows(const AlsOptions& options, const CsrMatrix& ratings,
       // Deterministic corruption of the assembled system (NaN/inf/indefinite
       // diag/FP16-range blowup) so the solver's degradation ladder gets
       // exercised; the site id keeps the two half-sweeps independent.
-      analysis::FaultInjector::instance().corrupt_system(
-          fault_site, g, ctx.a_scratch, ctx.b_scratch);
+      analysis::FaultInjector::instance().corrupt_system(fault_site, g, a, b);
     }
     // Traffic per rating: one θ row (FP32 even when staging rounds to FP16
     // in "shared memory" — the global read is full precision), the rating
@@ -121,37 +174,13 @@ void als_update_rows(const AlsOptions& options, const CsrMatrix& ratings,
         static_cast<double>(nnz_u) * (f * kReal + kReal + kIdx);
     ctx.herm_ops.bytes_written += (static_cast<double>(f) * f + f) * kReal;
 
-    const bool ok =
-        ctx.solver.solve(ctx.a_scratch, ctx.b_scratch, solved.row(g));
-    if (!ok) {
-      // Even the exact fallback could not produce a finite solution (a
-      // corrupted or singular system — impossible for healthy data with
-      // λ > 0). Keep the previous factor: the solver restored the row and
-      // counted the failure, and training continues on the other rows.
-      continue;
+    pending_x[pending++] = solved.row(g);
+    if (pending == width) {
+      solve_pending();
     }
-    if (profiled) {
-      const std::uint64_t t2 = prof::now_ns();
-      prof::Tracer::instance().complete_span("solve", "als", t1, t2);
-      ctx.solve_ns += t2 - t1;
-    }
-    const double ff = static_cast<double>(f);
-    if (options.solver.kind == SolverKind::CgFp32 ||
-        options.solver.kind == SolverKind::PcgFp32 ||
-        options.solver.kind == SolverKind::CgFp16) {
-      const double a_elem_bytes = options.solver.kind == SolverKind::CgFp16
-                                      ? sizeof(half)
-                                      : sizeof(real_t);
-      const double fs = options.solver.cg_fs;
-      ctx.solve_ops.flops += fs * (2.0 * ff * ff + 10.0 * ff);
-      // fs sweeps over A (half-width for the FP16 solver) plus the CG
-      // warm start reading the previous x_u once.
-      ctx.solve_ops.bytes_read += fs * ff * ff * a_elem_bytes + ff * kReal;
-    } else {
-      ctx.solve_ops.flops += (2.0 / 3.0) * ff * ff * ff;
-      ctx.solve_ops.bytes_read += ff * ff * kReal;
-    }
-    ctx.solve_ops.bytes_written += ff * kReal;
+  }
+  if (pending > 0) {
+    solve_pending();
   }
 }
 

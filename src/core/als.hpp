@@ -78,11 +78,14 @@ struct AlsOptions {
 struct AlsWorkerContext {
   AlsWorkerContext(std::size_t f, const SolverOptions& options,
                    const HermitianParams& hermitian)
-      : solver(f, options), a_scratch(f * f), b_scratch(f) {
+      : solver(f, options),
+        a_scratch(solver.batch_width() * f * f),
+        b_scratch(solver.batch_width() * f) {
     ws.prepare(f, hermitian);
   }
   SystemSolver solver;
   HermitianWorkspace ws;
+  /// One contiguous A (f×f) and b (f) per lane of the solver's batch.
   std::vector<real_t> a_scratch;
   std::vector<real_t> b_scratch;
   OpCounts herm_ops;
@@ -99,8 +102,9 @@ struct AlsPhaseSeconds {
 };
 
 /// The ALS row-update hot loop over [begin, end): get_hermitian (or the
-/// naive reference kernel), optional fault injection, then the configured
-/// solve, accumulating ops/spans/stats into `ctx`. `fault_site` tags the
+/// naive reference kernel) and optional fault injection per row, then the
+/// configured solve on batches of up to ctx.solver.batch_width() rows,
+/// accumulating ops/spans/stats into `ctx`. `fault_site` tags the
 /// half-sweep (0 = update-X, 1 = update-Θ) so the deterministic fault
 /// injector corrupts the same systems under any engine, schedule or worker
 /// count. Rows never read other rows of `solved`, so any disjoint

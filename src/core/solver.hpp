@@ -17,6 +17,7 @@
 
 #include "common/types.hpp"
 #include "linalg/cg.hpp"
+#include "linalg/cg_batch.hpp"
 
 namespace cumf {
 
@@ -127,6 +128,22 @@ class SystemSolver {
   [[nodiscard]] bool solve(std::span<const real_t> a,
                            std::span<const real_t> b, std::span<real_t> x);
 
+  /// Systems solve_batch takes at once: kCgBatch for CG-FP32 and CG-FP16
+  /// on the SIMD path (one system per lane of cg_solve_batch), 1 otherwise.
+  std::size_t batch_width() const noexcept;
+
+  /// Solves `count` ≤ batch_width() systems: system l reads A from
+  /// a[l·f², (l+1)·f²) and b from b[l·f, (l+1)·f), and updates x[l]. The
+  /// factors, the result and stats() are bitwise those of `count` solve()
+  /// calls in lane order. A lane whose FP16 pack is unfaithful, whose CG
+  /// breaks down or whose iterate ends non-finite leaves the batch for
+  /// solve()'s degradation ladder. Returns a mask with bit l set when
+  /// system l succeeded.
+  [[nodiscard]] std::uint32_t solve_batch(std::size_t count,
+                                          std::span<const real_t> a,
+                                          std::span<const real_t> b,
+                                          std::span<const std::span<real_t>> x);
+
   const SolveStats& stats() const noexcept { return stats_; }
   void reset_stats() noexcept { stats_ = SolveStats{}; }
   const SolverOptions& options() const noexcept { return options_; }
@@ -145,9 +162,20 @@ class SystemSolver {
                 std::span<const real_t> b, std::span<real_t> x,
                 bool preconditioned);
 
+  /// CG's untrusted iterate → exact LU on the FP32 system, counted as a
+  /// cg_fallback. Assumes backup_ holds the entry value of x.
+  bool fall_back_to_lu(std::span<const real_t> a_exact,
+                       std::span<const real_t> b, std::span<real_t> x);
+
   /// True when every FP16-packed element faithfully represents its FP32
   /// source (no finite→inf overflow, no nonzero diagonal flushed to zero).
   bool fp16_pack_ok(std::span<const real_t> a) const noexcept;
+
+  /// Interleaves systems [0, count) of `a` into `out` as [i][j][lane]
+  /// (T = half also applies fp16_pack_ok's rules per lane); lanes past
+  /// `count` are zero. Returns the mask of lanes whose pack is faithful.
+  template <typename T>
+  std::uint32_t pack_batch(std::size_t count, const real_t* a, T* out);
 
   std::size_t f_;
   SolverOptions options_;
@@ -156,6 +184,14 @@ class SystemSolver {
   std::vector<half> scratch_fp16_;
   std::vector<index_t> pivots_;
   std::vector<real_t> backup_;  ///< x on entry, for failure restoration
+  // Batch scratch, sized by the first batched solve_batch call: the
+  // interleaved A (floats for CG-FP32, halves for CG-FP16), b and x as
+  // [i][lane], and the CG vectors.
+  std::vector<real_t> batch_a32_;
+  std::vector<half> batch_a16_;
+  std::vector<real_t> batch_b_;
+  std::vector<real_t> batch_x_;
+  CgBatchWorkspace batch_ws_;
 };
 
 }  // namespace cumf

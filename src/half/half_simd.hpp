@@ -97,15 +97,14 @@ inline simd::vf8 half_to_float8_widening(const half* src) noexcept {
 
 /// Converts 8 packed floats to 8 half-bit patterns with round-to-nearest-
 /// even, writing the raw uint16 patterns to `dst`.
-inline void float_to_half8(const float* src, std::uint16_t* dst) noexcept {
+inline void float_to_half8(simd::vf8 src, std::uint16_t* dst) noexcept {
 #if CUMF_HALF_F16C
-  const __m128i packed =
-      _mm256_cvtps_ph(std::bit_cast<__m256>(simd::vf8::load(src).v),
-                      _MM_FROUND_TO_NEAREST_INT);
+  const __m128i packed = _mm256_cvtps_ph(std::bit_cast<__m256>(src.v),
+                                         _MM_FROUND_TO_NEAREST_INT);
   std::memcpy(dst, &packed, sizeof(packed));
 #else
   using simd::vu8;
-  vu8 u = vu8::from_float(simd::vf8::load(src));
+  vu8 u = vu8::from_float(src);
   const vu8 sign16 = (u & vu8::broadcast(0x80000000u)) >> 16;
   u = u & vu8::broadcast(0x7FFFFFFFu);
 
@@ -136,6 +135,10 @@ inline void float_to_half8(const float* src, std::uint16_t* dst) noexcept {
   const vu8 o = vu8::select(infnan, o_infnan, vu8::select(tiny, o_tiny, o_norm));
   (o | sign16).store_u16(dst);
 #endif
+}
+
+inline void float_to_half8(const float* src, std::uint16_t* dst) noexcept {
+  float_to_half8(simd::vf8::load(src), dst);
 }
 
 /// Widens `n` halves into floats. The SIMD path and the scalar path are

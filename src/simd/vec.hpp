@@ -27,6 +27,10 @@
 #include <cstdint>
 #include <cstring>
 
+#if defined(__AVX512F__)
+#include <immintrin.h>
+#endif
+
 namespace cumf::simd {
 
 /// Which implementation of a dual-path kernel to run.
@@ -85,6 +89,42 @@ struct vf8 {
   float lane(std::size_t i) const noexcept { return v[i]; }
 };
 
+/// Transposing load of an 8×8 block: cols[k].lane(l) = rows[l][k]. Pure
+/// data movement, so bitwise exact. The 128-bit exchange is done by the
+/// loads (each register takes its upper half straight from memory), which
+/// leaves 16 in-register shuffles instead of 24.
+inline void load_transposed8(const float* const (&rows)[8],
+                             vf8 (&cols)[8]) noexcept {
+  using f32x4 = float __attribute__((vector_size(16)));
+  const auto half_pair = [&](int lo, int hi, int k0) {
+    f32x4 a;
+    f32x4 b;
+    std::memcpy(&a, rows[lo] + k0, sizeof(a));
+    std::memcpy(&b, rows[hi] + k0, sizeof(b));
+    return f32x8{__builtin_shufflevector(a, b, 0, 1, 2, 3, 4, 5, 6, 7)};
+  };
+#pragma GCC unroll 2
+  for (int k0 = 0; k0 < 8; k0 += 4) {
+    // Row l's elements k0..k0+3 in the low half, row l+4's in the high.
+    const f32x8 b0 = half_pair(0, 4, k0);
+    const f32x8 b1 = half_pair(1, 5, k0);
+    const f32x8 b2 = half_pair(2, 6, k0);
+    const f32x8 b3 = half_pair(3, 7, k0);
+    const f32x8 t0 = __builtin_shufflevector(b0, b1, 0, 8, 1, 9, 4, 12, 5, 13);
+    const f32x8 t1 =
+        __builtin_shufflevector(b0, b1, 2, 10, 3, 11, 6, 14, 7, 15);
+    const f32x8 t2 = __builtin_shufflevector(b2, b3, 0, 8, 1, 9, 4, 12, 5, 13);
+    const f32x8 t3 =
+        __builtin_shufflevector(b2, b3, 2, 10, 3, 11, 6, 14, 7, 15);
+    cols[k0].v = __builtin_shufflevector(t0, t2, 0, 1, 8, 9, 4, 5, 12, 13);
+    cols[k0 + 1].v =
+        __builtin_shufflevector(t0, t2, 2, 3, 10, 11, 6, 7, 14, 15);
+    cols[k0 + 2].v = __builtin_shufflevector(t1, t3, 0, 1, 8, 9, 4, 5, 12, 13);
+    cols[k0 + 3].v =
+        __builtin_shufflevector(t1, t3, 2, 3, 10, 11, 6, 7, 14, 15);
+  }
+}
+
 using f64x8 = double __attribute__((vector_size(64)));
 
 /// 8 packed doubles — reduction accumulator. Lane l sums the exact
@@ -98,13 +138,26 @@ struct vd8 {
   static vd8 zero() noexcept { return {f64x8{}}; }
   /// All 8 lanes widened to double (exact — every float is a double).
   static vd8 widen(vf8 a) noexcept {
+#if defined(__AVX512F__)
+    // One vcvtps2pd zmm; GCC lowers the generic conversion to two ymm
+    // halves plus an insert. (The all-lanes zero-masking form, because the
+    // unmasked intrinsic trips GCC 12's -Wmaybe-uninitialized.)
+    return {std::bit_cast<f64x8>(
+        _mm512_maskz_cvtps_pd(0xFF, std::bit_cast<__m256>(a.v)))};
+#else
     return {__builtin_convertvector(a.v, f64x8)};
+#endif
   }
   /// acc += widen(a) * widen(b), one exact product per lane.
   void mul_acc(vf8 a, vf8 b) noexcept { v += widen(a).v * widen(b).v; }
   /// Same with a pre-widened left operand — hoists a's conversion out of
   /// loops that reuse it across many right operands (e.g. gemv rows).
   void mul_acc(vd8 a_wide, vf8 b) noexcept { v += a_wide.v * widen(b).v; }
+
+  friend vd8 operator+(vd8 a, vd8 b) noexcept { return {a.v + b.v}; }
+  /// Every lane rounded to float (round to nearest even, as a cast).
+  vf8 narrow() const noexcept { return {__builtin_convertvector(v, f32x8)}; }
+  double lane(std::size_t i) const noexcept { return v[i]; }
 
   /// ((v0+v2)+(v1+v3)) + ((v4+v6)+(v5+v7)).
   double hsum() const noexcept {
@@ -156,16 +209,13 @@ struct vu8 {
   static vu8 select(vu8 mask, vu8 a, vu8 b) noexcept {
     return {(mask.v & a.v) | (~mask.v & b.v)};
   }
+  /// Lanewise unsigned minimum.
+  static vu8 min(vu8 a, vu8 b) noexcept { return {a.v < b.v ? a.v : b.v}; }
 
   vf8 as_float() const noexcept { return {std::bit_cast<f32x8>(v)}; }
   static vu8 from_float(vf8 f) noexcept { return {std::bit_cast<u32x8>(f.v)}; }
 
-  /// True when any lane is nonzero.
-  bool any() const noexcept {
-    const u32x8 folded =
-        v | __builtin_shufflevector(v, v, 4, 5, 6, 7, 0, 1, 2, 3);
-    return (folded[0] | folded[1] | folded[2] | folded[3]) != 0;
-  }
+  std::uint32_t lane(std::size_t i) const noexcept { return v[i]; }
 };
 
 #else  // scalar-array fallback: same API, element loops
@@ -208,6 +258,15 @@ struct vf8 {
   float lane(std::size_t i) const noexcept { return v[i]; }
 };
 
+inline void load_transposed8(const float* const (&rows)[8],
+                             vf8 (&cols)[8]) noexcept {
+  for (std::size_t k = 0; k < 8; ++k) {
+    for (std::size_t l = 0; l < 8; ++l) {
+      cols[k].v[l] = rows[l][k];
+    }
+  }
+}
+
 /// Reduction accumulator — see the vector-ext backend's vd8 doc.
 struct vd8 {
   static constexpr std::size_t kLanes = 8;
@@ -229,6 +288,19 @@ struct vd8 {
       v[i] += a_wide.v[i] * static_cast<double>(b.v[i]);
     }
   }
+  friend vd8 operator+(vd8 a, vd8 b) noexcept {
+    vd8 r;
+    for (std::size_t i = 0; i < kLanes; ++i) r.v[i] = a.v[i] + b.v[i];
+    return r;
+  }
+  vf8 narrow() const noexcept {
+    vf8 r;
+    for (std::size_t i = 0; i < kLanes; ++i) {
+      r.v[i] = static_cast<float>(v[i]);
+    }
+    return r;
+  }
+  double lane(std::size_t i) const noexcept { return v[i]; }
   double hsum() const noexcept {
     return ((v[0] + v[2]) + (v[1] + v[3])) + ((v[4] + v[6]) + (v[5] + v[7]));
   }
@@ -303,6 +375,13 @@ struct vu8 {
   static vu8 select(vu8 mask, vu8 a, vu8 b) noexcept {
     return (mask & a) | (~mask & b);
   }
+  static vu8 min(vu8 a, vu8 b) noexcept {
+    vu8 r;
+    for (std::size_t i = 0; i < kLanes; ++i) {
+      r.v[i] = a.v[i] < b.v[i] ? a.v[i] : b.v[i];
+    }
+    return r;
+  }
 
   vf8 as_float() const noexcept {
     vf8 r;
@@ -319,11 +398,7 @@ struct vu8 {
     return r;
   }
 
-  bool any() const noexcept {
-    std::uint32_t folded = 0;
-    for (std::size_t i = 0; i < kLanes; ++i) folded |= v[i];
-    return folded != 0;
-  }
+  std::uint32_t lane(std::size_t i) const noexcept { return v[i]; }
 };
 
 #endif  // CUMF_SIMD_VEXT

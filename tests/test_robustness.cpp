@@ -63,6 +63,64 @@ TEST(Crc32, RunningUpdateMatchesOneShot) {
   EXPECT_EQ(crc32(part, data.data() + 4, 5), crc32(data));
 }
 
+/// The byte-at-a-time reference loop (zlib's polynomial, bit by bit).
+std::uint32_t crc32_bytewise(std::uint32_t crc, const unsigned char* p,
+                             std::size_t n) {
+  crc = ~crc;
+  for (std::size_t i = 0; i < n; ++i) {
+    crc ^= p[i];
+    for (int k = 0; k < 8; ++k) {
+      crc = (crc & 1u) ? 0xEDB88320u ^ (crc >> 1) : crc >> 1;
+    }
+  }
+  return ~crc;
+}
+
+TEST(Crc32, CheckValueThroughEveryAlignmentAndSplit) {
+  // "123456789" is one 8-byte slice plus a 1-byte tail; placed at every
+  // alignment and split at every point, it must still give the check value.
+  const std::string check = "123456789";
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    std::vector<unsigned char> buf(offset + check.size() + 8, 0xA5);
+    std::memcpy(buf.data() + offset, check.data(), check.size());
+    const unsigned char* p = buf.data() + offset;
+    EXPECT_EQ(crc32(0, p, check.size()), 0xCBF43926u) << "offset " << offset;
+    for (std::size_t cut = 0; cut <= check.size(); ++cut) {
+      const std::uint32_t head = crc32(0, p, cut);
+      EXPECT_EQ(crc32(head, p + cut, check.size() - cut), 0xCBF43926u)
+          << "offset " << offset << " cut " << cut;
+    }
+  }
+}
+
+TEST(Crc32, SlicingMatchesBytewiseLoop) {
+  // Random lengths 0..4096 from misaligned start pointers, one shot and
+  // fed in random chained pieces, against the bit-by-bit reference.
+  Rng rng(2024);
+  std::vector<unsigned char> buf(4096 + 16);
+  for (auto& b : buf) {
+    b = static_cast<unsigned char>(rng.uniform() * 256.0);
+  }
+  for (int trial = 0; trial < 300; ++trial) {
+    const auto len = static_cast<std::size_t>(rng.uniform() * 4097.0);
+    const auto offset = static_cast<std::size_t>(rng.uniform() * 16.0);
+    const unsigned char* p = buf.data() + offset;
+    const std::uint32_t want = crc32_bytewise(0, p, len);
+    ASSERT_EQ(crc32(0, p, len), want) << "len " << len << " offset " << offset;
+    std::uint32_t chained = 0;
+    std::size_t done = 0;
+    while (done < len) {
+      const auto piece = std::min<std::size_t>(
+          len - done, static_cast<std::size_t>(rng.uniform() * 40.0));
+      chained = crc32(chained, p + done, piece);
+      done += piece;
+    }
+    ASSERT_EQ(chained, want) << "chained, len " << len;
+    // A running CRC seeded from a previous value, too.
+    ASSERT_EQ(crc32(0x12345678u, p, len), crc32_bytewise(0x12345678u, p, len));
+  }
+}
+
 TEST(Crc32, DetectsSingleBitFlip) {
   std::string data = "the quick brown fox";
   const std::uint32_t clean = crc32(data);

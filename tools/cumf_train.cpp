@@ -1320,7 +1320,7 @@ int cmd_train(int argc, char** argv) {
     cfg.tile = tile;
     cfg.bin = bin;
     cfg.schedule = schedule;
-    cfg.workers = workers;
+    cfg.workers = options.workers;
     cfg.gpus = gpus;
     cfg.link_name = link_name;
     cfg.seed = seed;
