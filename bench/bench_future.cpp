@@ -2,15 +2,17 @@
 //   1. Tensor Cores for the FP16 hermitian (Volta V100 model) — the paper's
 //      "exploit the new Nvidia Tensor Cores" item.
 //   2. Algorithm selection from dataset characteristics and hardware — the
-//      paper's "investigate algorithm selection" item.
-//   3. Hybrid ALS batch + SGD incremental updates — the paper's "ALS for
-//      initial batch training and SGD for incremental updates" item.
+//      paper's "investigate algorithm selection" item, read off the ALS and
+//      SGD cost models.
+//   3. ALS batch training with incremental updates as ratings stream in —
+//      the paper's "ALS for initial batch training" item, with each rating
+//      folded in by serve::ServeEngine (an ALS-WR re-solve of the user's
+//      row against the frozen Θ) instead of SGD steps.
 #include <cstdio>
 
 #include "bench/bench_util.hpp"
 #include "common/stopwatch.hpp"
-#include "core/hybrid.hpp"
-#include "core/selector.hpp"
+#include "serve/serve.hpp"
 
 using namespace cumf;
 
@@ -56,68 +58,95 @@ void tensor_cores() {
               "anticipated.\n");
 }
 
-void selector() {
+/// Picks ALS or GPU-SGD for a dataset shape on a device configuration from
+/// each one's modelled time to convergence: per-epoch seconds times the
+/// family's typical epoch count (§V-E: ALS converges in ~10 epochs, SGD's
+/// epochs are cheaper but it needs ~40). Implicit inputs always pick ALS:
+/// with every cell confidence-weighted, SGD's O(Nz·f) cost runs over all
+/// m·n cells while ALS's shared Gram matrix keeps the update sparse (§V-F).
+void algorithm_selection() {
   std::printf("\n--- Future work 2: algorithm selection ---\n");
+  constexpr int kTypicalAlsEpochs = 10;
+  constexpr int kTypicalSgdEpochs = 40;
+  constexpr int kF = 100;
   const auto dev = gpusim::DeviceSpec::maxwell_titan_x();
   Table t({"scenario", "choice", "ALS est. (s)", "SGD est. (s)"});
-  const auto run = [&](const char* name, SelectorInput input) {
-    const auto d = select_algorithm(dev, input);
-    t.add_row({name, to_string(d.algorithm),
-               Table::num(d.als_time_estimate, 1),
-               Table::num(d.sgd_time_estimate, 1)});
+  const auto run = [&](const char* name, double m, double n, double nnz,
+                       int gpus, bool implicit) {
+    AlsKernelConfig config;
+    config.f = kF;
+    config.tile = pick_tile(kF, 10);
+    if (!implicit) {
+      config.solver = SolverKind::CgFp16;
+    }
+    const double als =
+        kTypicalAlsEpochs * als_epoch_seconds(dev, m, n, nnz, config, gpus);
+    const double sgd =
+        kTypicalSgdEpochs *
+        sgd_epoch_seconds(dev, implicit ? m * n : nnz, kF, true, gpus,
+                          gpusim::LinkSpec::nvlink(), m, n);
+    t.add_row({name, implicit || als <= sgd ? "ALS" : "SGD",
+               Table::num(als, 1), Table::num(sgd, 1)});
   };
-  run("Netflix, 1 GPU", {480189, 17770, 99e6, 100, 1, false});
-  run("YahooMusic, 1 GPU", {1000990, 624961, 252.8e6, 100, 1, false});
-  run("Hugewiki, 1 GPU", {50082603, 39780, 3.1e9, 100, 1, false});
-  run("Hugewiki, 4 GPUs", {50082603, 39780, 3.1e9, 100, 4, false});
-  run("Netflix implicit", {480189, 17770, 99e6, 100, 1, true});
+  run("Netflix, 1 GPU", 480189, 17770, 99e6, 1, false);
+  run("YahooMusic, 1 GPU", 1000990, 624961, 252.8e6, 1, false);
+  run("Hugewiki, 1 GPU", 50082603, 39780, 3.1e9, 1, false);
+  run("Hugewiki, 4 GPUs", 50082603, 39780, 3.1e9, 4, false);
+  run("Netflix implicit", 480189, 17770, 99e6, 1, true);
   std::printf("%s", t.to_string().c_str());
   std::printf("Mirrors §V-E/§V-F: SGD competitive on sparse single-GPU\n"
               "problems, ALS wins with more GPUs and always wins on\n"
               "implicit (dense-effective) inputs.\n");
 }
 
-void hybrid() {
-  std::printf("\n--- Future work 3: hybrid ALS batch + SGD incremental ---\n");
-  auto prepared = bench::prepare(DatasetPreset::netflix(), 0.25);
-  HybridOptions options;
-  options.als.f = 32;
-  options.als.lambda = 0.05f;
-  options.als.solver.kind = SolverKind::CgFp16;
-  options.batch_epochs = 8;
-  HybridEngine hybrid(prepared.split.train, options);
+void online_updates() {
+  std::printf("\n--- Future work 3: ALS batch + fold-in incremental ---\n");
+  const auto prepared = bench::prepare(DatasetPreset::netflix(), 0.25);
+  const RatingsCoo& train = prepared.split.train;
+  const RatingsCoo& stream = prepared.split.test;
+  AlsOptions options;
+  options.f = 32;
+  options.lambda = 0.05f;
+  options.solver.kind = SolverKind::CgFp16;
+  constexpr int kBatchEpochs = 8;
+  AlsEngine als(train, options);
+  for (int epoch = 0; epoch < kBatchEpochs; ++epoch) {
+    als.run_epoch();
+  }
+  const Matrix& theta = als.item_factors();
+  const double before = rmse(stream, als.user_factors(), theta);
 
-  const double before = rmse(prepared.split.test, hybrid.user_factors(),
-                             hybrid.item_factors());
+  serve::ServeOptions serve_options;
+  serve_options.lambda = options.lambda;
+  serve_options.solver = options.solver;
+  serve::ServeEngine service(FactorModel{als.user_factors(), theta},
+                             CsrMatrix::from_coo(train), serve_options);
   Stopwatch sw;
-  for (const Rating& e : prepared.split.test.entries()) {
-    hybrid.observe(e);
+  for (const Rating& e : stream.entries()) {
+    service.observe(e);
   }
   const double stream_seconds = sw.seconds();
-  const double after = rmse(prepared.split.test, hybrid.user_factors(),
-                            hybrid.item_factors());
+  const double after = rmse(stream, serve::served_user_factors(service), theta);
 
-  std::printf("batch phase: 8 ALS epochs; stream: %llu ratings absorbed in "
+  const double count = static_cast<double>(stream.nnz());
+  std::printf("batch phase: %d ALS epochs; stream: %llu ratings folded in, "
               "%.3f s host time (%.1f µs/rating)\n",
-              static_cast<unsigned long long>(hybrid.observed_count()),
-              stream_seconds,
-              1e6 * stream_seconds /
-                  static_cast<double>(hybrid.observed_count()));
+              kBatchEpochs, static_cast<unsigned long long>(stream.nnz()),
+              stream_seconds, 1e6 * stream_seconds / count);
   std::printf("RMSE on streamed ratings: %.4f before -> %.4f after "
               "(no retrain)\n",
               before, after);
-  std::printf("rebatch recommended: %s (threshold %.0f%% growth)\n",
-              hybrid.rebatch_recommended() ? "yes" : "no",
-              options.rebatch_threshold * 100);
+  std::printf("stream grew the training set by %.1f%%\n",
+              100 * count / static_cast<double>(train.nnz()));
 }
 
 }  // namespace
 
 int main() {
   bench::print_header("Future work (sec. VII)",
-                      "Tensor Cores, algorithm selection, hybrid ALS+SGD");
+                      "Tensor Cores, algorithm selection, online fold-in");
   tensor_cores();
-  selector();
-  hybrid();
+  algorithm_selection();
+  online_updates();
   return 0;
 }

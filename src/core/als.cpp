@@ -76,26 +76,37 @@ AlsEngine::AlsEngine(const RatingsCoo& train, const AlsOptions& options)
 
 namespace {
 
-/// Adds the modeled ops of one successful solve of `options.solver.kind`.
-void count_solve_ops(const AlsOptions& options, OpCounts& ops) {
+/// The ops an epoch's solves performed, read from the SolveStats they
+/// recorded: every CG iteration actually run (early exits included), plus
+/// an exact LU solve for each system that ended on the exact path (the LU
+/// and Cholesky kinds, or a CG system that fell back) and produced a
+/// factor. The inputs are integer counts, so the result is the same under
+/// any worker count or schedule.
+OpCounts count_solve_ops(const AlsOptions& options, const SolveStats& epoch) {
   constexpr double kReal = sizeof(real_t);
   const double ff = static_cast<double>(options.f);
-  if (options.solver.kind == SolverKind::CgFp32 ||
-      options.solver.kind == SolverKind::PcgFp32 ||
-      options.solver.kind == SolverKind::CgFp16) {
-    const double a_elem_bytes = options.solver.kind == SolverKind::CgFp16
-                                    ? sizeof(half)
-                                    : sizeof(real_t);
-    const double fs = options.solver.cg_fs;
-    ops.flops += fs * (2.0 * ff * ff + 10.0 * ff);
-    // fs sweeps over A (half-width for the FP16 solver) plus the CG
-    // warm start reading the previous x_u once.
-    ops.bytes_read += fs * ff * ff * a_elem_bytes + ff * kReal;
-  } else {
-    ops.flops += (2.0 / 3.0) * ff * ff * ff;
-    ops.bytes_read += ff * ff * kReal;
+  const SolverKind kind = options.solver.kind;
+  const bool cg = kind == SolverKind::CgFp32 ||
+                  kind == SolverKind::PcgFp32 || kind == SolverKind::CgFp16;
+  // Failures happen only on the exact path (solve_exact), so they come out
+  // of the systems that reached it.
+  const double solved = static_cast<double>(epoch.systems - epoch.failures);
+  const double exact = static_cast<double>(
+      (cg ? epoch.cg_fallbacks : epoch.systems) - epoch.failures);
+  OpCounts ops;
+  if (cg) {
+    const double a_elem_bytes =
+        kind == SolverKind::CgFp16 ? sizeof(half) : sizeof(real_t);
+    const double iters = static_cast<double>(epoch.cg_iterations);
+    ops.flops += iters * (2.0 * ff * ff + 10.0 * ff);
+    // One sweep over A per iteration (half-width for the FP16 solver) plus
+    // the CG warm start reading the previous x_u once.
+    ops.bytes_read += iters * ff * ff * a_elem_bytes + solved * ff * kReal;
   }
-  ops.bytes_written += ff * kReal;
+  ops.flops += exact * (2.0 / 3.0) * ff * ff * ff;
+  ops.bytes_read += exact * ff * ff * kReal;
+  ops.bytes_written += solved * ff * kReal;
+  return ops;
 }
 
 }  // namespace
@@ -116,22 +127,17 @@ void als_update_rows(const AlsOptions& options, const CsrMatrix& ratings,
   std::size_t pending = 0;
   const auto solve_pending = [&] {
     const std::uint64_t t0 = profiled ? prof::now_ns() : 0;
-    const std::uint32_t ok = ctx.solver.solve_batch(
+    // A system even the exact fallback could not solve (a corrupted or
+    // singular system — impossible for healthy data with λ > 0) keeps its
+    // previous factor: the solver restored the row and counted the
+    // failure, and training continues on the other rows.
+    (void)ctx.solver.solve_batch(
         pending, ctx.a_scratch, ctx.b_scratch,
         std::span<const std::span<real_t>>(pending_x.data(), pending));
     if (profiled) {
       const std::uint64_t t1 = prof::now_ns();
       prof::Tracer::instance().complete_span("solve", "als", t0, t1);
       ctx.solve_ns += t1 - t0;
-    }
-    // A system even the exact fallback could not solve (a corrupted or
-    // singular system — impossible for healthy data with λ > 0) keeps its
-    // previous factor: the solver restored the row and counted the
-    // failure, and training continues on the other rows.
-    for (std::size_t l = 0; l < pending; ++l) {
-      if ((ok >> l & 1u) != 0) {
-        count_solve_ops(options, ctx.solve_ops);
-      }
     }
     pending = 0;
   };
@@ -215,9 +221,9 @@ void AlsEngineBase::sweep(const CsrMatrix& ratings, const Matrix& fixed,
 
 void AlsEngineBase::begin_epoch() {
   // Measured per-epoch counters: reset so callers always see "last epoch".
+  epoch_start_stats_ = solve_stats();
   for (AlsWorkerContext& ctx : workers_) {
     ctx.herm_ops = OpCounts{};
-    ctx.solve_ops = OpCounts{};
     ctx.herm_ns = 0;
     ctx.solve_ns = 0;
   }
@@ -225,11 +231,10 @@ void AlsEngineBase::begin_epoch() {
 
 void AlsEngineBase::end_epoch() {
   herm_ops_ = OpCounts{};
-  solve_ops_ = OpCounts{};
   phase_ = PhaseSeconds{};
+  solve_ops_ = count_solve_ops(options_, solve_stats() - epoch_start_stats_);
   for (const AlsWorkerContext& ctx : workers_) {
     herm_ops_ += ctx.herm_ops;
-    solve_ops_ += ctx.solve_ops;
     phase_.hermitian += static_cast<double>(ctx.herm_ns) / 1e9;
     phase_.solve += static_cast<double>(ctx.solve_ns) / 1e9;
   }

@@ -89,7 +89,6 @@ struct AlsWorkerContext {
   std::vector<real_t> a_scratch;
   std::vector<real_t> b_scratch;
   OpCounts herm_ops;
-  OpCounts solve_ops;
   std::uint64_t herm_ns = 0;   ///< profiled time in get_hermitian_row
   std::uint64_t solve_ns = 0;  ///< profiled time in the solve step
 };
@@ -160,6 +159,8 @@ class AlsEngineBase {
   SolveStats solve_stats() const noexcept;
 
   /// Operations actually performed per epoch (measured, not analytic).
+  /// The solve side is counted from the epoch's SolveStats: the CG
+  /// iterations each system really ran, plus LU for exact-path systems.
   const OpCounts& hermitian_ops_per_epoch() const noexcept {
     return herm_ops_;
   }
@@ -206,6 +207,7 @@ class AlsEngineBase {
   OpCounts solve_ops_;
   PhaseSeconds phase_;
   SolveStats restored_stats_;  ///< baseline from restore(), added on read
+  SolveStats epoch_start_stats_;  ///< solve_stats() when the epoch began
 };
 
 /// In-core engine: both CSR views of the train ratings stay resident.

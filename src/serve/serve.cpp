@@ -321,4 +321,13 @@ SolveStats ServeEngine::solve_stats() const {
   return solver_.stats();
 }
 
+Matrix served_user_factors(const ServeEngine& engine) {
+  Matrix x(engine.users(), engine.f());
+  for (index_t u = 0; u < engine.users(); ++u) {
+    const std::vector<real_t> row = engine.user_factor(u);
+    std::copy(row.begin(), row.end(), x.row(u).begin());
+  }
+  return x;
+}
+
 }  // namespace cumf::serve

@@ -22,9 +22,9 @@
 //    uses) against the frozen Θ through the PR 4 SystemSolver, inheriting
 //    its full degradation ladder (FP16 overflow → FP32 retry, CG breakdown
 //    → exact LU, failure → factor restored). A rating for user id == users()
-//    grows the model by one user row — the "genuinely new user from the
-//    stream" that HybridEngine::observe loudly rejects. New items are
-//    rejected: Θ is frozen at serve time; items need a re-batch.
+//    grows the model by one user row — a genuinely new user from the
+//    stream. New items are rejected: Θ is frozen at serve time; items need
+//    a re-batch.
 //
 // Thread model: top_k takes a shared lock, observe/fold_in_user take an
 // exclusive lock, and the cache synchronizes itself — many concurrent
@@ -172,5 +172,9 @@ class ServeEngine {
   SystemSolver solver_;
   mutable std::shared_mutex mutex_;
 };
+
+/// Every served user row (folded-in users included) as one matrix, so the
+/// serving state can be scored with rmse() or saved as a FactorModel.
+Matrix served_user_factors(const ServeEngine& engine);
 
 }  // namespace cumf::serve

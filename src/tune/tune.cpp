@@ -199,6 +199,20 @@ double ooc_stall_seconds(const TuneRequest& req, const TuneChoice& choice,
   return std::max(0.0, wall - core_seconds);
 }
 
+/// Ring all-gather of one epoch on `choice.gpus` devices: each half-sweep
+/// shares an even 1/g split of the solved factor rows (X, then Θ), fully
+/// exposed after the sweep's compute.
+double allgather_epoch_seconds(const ModelContext& ctx,
+                               const TuneChoice& choice) {
+  const gpusim::LinkSpec link = gpusim::link_by_name(choice.link);
+  const double g = choice.gpus;
+  const double m = static_cast<double>(ctx.csr().rows());
+  const double n = static_cast<double>(ctx.csr().cols());
+  const double fb = static_cast<double>(ctx.request().f) * 4.0;
+  return gpusim::allgather_seconds(link, choice.gpus, m / g * fb) +
+         gpusim::allgather_seconds(link, choice.gpus, n / g * fb);
+}
+
 /// The tuner's objective: projected epoch seconds of this choice — kernel
 /// roofs from the gpusim model, distributed over the worker lanes with the
 /// schedule's imbalance factor (gpus > 1 shards rows across devices
@@ -234,13 +248,7 @@ double modeled_epoch_seconds(ModelContext& ctx, const TuneChoice& choice,
   }
   double comm = 0.0;
   if (choice.gpus > 1) {
-    const gpusim::LinkSpec link = gpusim::link_by_name(choice.link);
-    const double g = choice.gpus;
-    const double m = static_cast<double>(ctx.csr().rows());
-    const double n = static_cast<double>(ctx.csr().cols());
-    const double fb = static_cast<double>(req.f) * 4.0;
-    comm = gpusim::allgather_seconds(link, choice.gpus, m / g * fb) +
-           gpusim::allgather_seconds(link, choice.gpus, n / g * fb);
+    comm = allgather_epoch_seconds(ctx, choice);
   } else {
     core = core * ctx.imbalance(choice.schedule, choice.workers) /
            static_cast<double>(std::max(1, choice.workers));
@@ -363,15 +371,11 @@ std::vector<prof::Verdict> winner_verdicts(ModelContext& ctx,
     verdicts.push_back(prof::classify(pack));
   }
   if (choice.gpus > 1) {
-    const gpusim::LinkSpec link = gpusim::link_by_name(choice.link);
-    const double g = choice.gpus;
-    const double fb = static_cast<double>(req.f) * 4.0;
     prof::PhaseSample mg;
     mg.phase = prof::kPhaseMgpuAllGather;
     mg.t_compute = sweep_seconds(pp.x, compute_scale) +
                    sweep_seconds(pp.theta, compute_scale);
-    mg.t_comm = gpusim::allgather_seconds(link, choice.gpus, m / g * fb) +
-                gpusim::allgather_seconds(link, choice.gpus, n / g * fb);
+    mg.t_comm = allgather_epoch_seconds(ctx, choice);
     mg.wall_s = mg.t_compute + mg.t_comm;
     verdicts.push_back(prof::classify(mg));
   }

@@ -366,6 +366,29 @@ TEST(Als, MeasuredOpsMatchAnalyticComplexity) {
   EXPECT_GT(als.solve_ops_per_epoch().flops, 0.0);
 }
 
+TEST(Als, SolveOpsCountTheCgIterationsActuallyRun) {
+  // fs = 40 is far more than f = 16 systems need to reach ε, so the
+  // systems exit early and a count of fs per system would overcharge.
+  const auto data = small_dataset(6000, 31);
+  AlsOptions options;
+  options.f = 16;
+  options.solver.kind = SolverKind::CgFp32;
+  options.solver.cg_fs = 40;
+  options.workers = 2;
+  AlsEngine als(data.ratings, options);
+  for (int epoch = 0; epoch < 3; ++epoch) {
+    const SolveStats before = als.solve_stats();
+    als.run_epoch();
+    const SolveStats delta = als.solve_stats() - before;
+    ASSERT_EQ(delta.cg_fallbacks, 0u);
+    EXPECT_LT(delta.cg_iterations, delta.systems * options.solver.cg_fs);
+    const double f = 16;
+    EXPECT_EQ(als.solve_ops_per_epoch().flops,
+              static_cast<double>(delta.cg_iterations) *
+                  (2.0 * f * f + 10.0 * f));
+  }
+}
+
 TEST(Als, PickTileDividesF) {
   EXPECT_EQ(pick_tile(100, 10), 10);
   EXPECT_EQ(pick_tile(16, 10), 8);

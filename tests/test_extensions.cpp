@@ -1,6 +1,6 @@
 // Tests for the extension modules: ranking metrics, model persistence,
-// parallel ALS workers, the algorithm selector, the hybrid ALS+SGD engine,
-// FP16 staging / Tensor-Core modelling, and the Volta device preset.
+// parallel ALS workers, FP16 staging / Tensor-Core modelling, and the
+// Volta device preset.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -8,10 +8,8 @@
 
 #include "common/rng.hpp"
 #include "core/als.hpp"
-#include "core/hybrid.hpp"
 #include "core/kernel_stats.hpp"
 #include "core/implicit_als.hpp"
-#include "core/selector.hpp"
 #include "data/generator.hpp"
 #include "data/implicit.hpp"
 #include "data/model_io.hpp"
@@ -188,128 +186,6 @@ TEST(ParallelAls, StatsAggregateAcrossWorkers) {
   EXPECT_EQ(stats.systems, 300u + 120u);
   EXPECT_EQ(stats.failures, 0u);
   EXPECT_GT(parallel.hermitian_ops_per_epoch().flops, 0.0);
-}
-
-// ---------- selector ----------
-
-TEST(Selector, ImplicitFeedbackAlwaysPicksAls) {
-  SelectorInput input;
-  input.m = 1e6;
-  input.n = 1e5;
-  input.nnz = 1e8;
-  input.implicit_feedback = true;
-  const auto d = select_algorithm(gpusim::DeviceSpec::maxwell_titan_x(),
-                                  input);
-  EXPECT_EQ(d.algorithm, Algorithm::Als);
-  EXPECT_GT(d.sgd_time_estimate, d.als_time_estimate);
-}
-
-TEST(Selector, SparseSingleGpuCanPreferSgd) {
-  // Very sparse matrix, single GPU: SGD's cheap epochs win the estimate.
-  SelectorInput input;
-  input.m = 5e7;   // Hugewiki-like: enormous row count
-  input.n = 4e4;
-  input.nnz = 1e8; // but only ~2 ratings per row → tiny hermitian benefit
-  input.f = 100;
-  input.gpus = 1;
-  const auto d = select_algorithm(gpusim::DeviceSpec::maxwell_titan_x(),
-                                  input);
-  EXPECT_EQ(d.algorithm, Algorithm::Sgd);
-}
-
-TEST(Selector, MoreGpusShiftTowardAls) {
-  SelectorInput input;
-  input.m = 5e7;
-  input.n = 4e4;
-  input.nnz = 3.1e9;  // Hugewiki
-  input.f = 100;
-  input.gpus = 1;
-  const auto dev = gpusim::DeviceSpec::maxwell_titan_x();
-  const auto one = select_algorithm(dev, input);
-  input.gpus = 4;
-  const auto four = select_algorithm(dev, input);
-  // With 4 GPUs ALS's estimate improves relative to SGD (Fig. 8's als@4).
-  EXPECT_LT(four.als_time_estimate / four.sgd_time_estimate,
-            one.als_time_estimate / one.sgd_time_estimate);
-}
-
-TEST(Selector, ValidatesInput) {
-  SelectorInput bad;
-  EXPECT_THROW(
-      select_algorithm(gpusim::DeviceSpec::maxwell_titan_x(), bad),
-      CheckError);
-}
-
-// ---------- hybrid ----------
-
-TEST(Hybrid, StreamedRatingsImproveTheirPredictions) {
-  const auto data = dataset(101, 6000);
-  HybridOptions options;
-  options.als = als_options();
-  options.batch_epochs = 6;
-  HybridEngine hybrid(data.ratings, options);
-
-  // Stream ratings that contradict the planted model and check the engine
-  // tracks them.
-  const Rating streamed{5, 7, 5.0f};
-  const real_t before = hybrid.predict(streamed.u, streamed.v);
-  for (int i = 0; i < 5; ++i) {
-    hybrid.observe(streamed);
-  }
-  const real_t after = hybrid.predict(streamed.u, streamed.v);
-  EXPECT_LT(std::abs(5.0f - after), std::abs(5.0f - before));
-  EXPECT_EQ(hybrid.observed_count(), 5u);
-}
-
-TEST(Hybrid, IncrementalUpdatesPreserveGlobalQuality) {
-  const auto data = dataset(103, 8000);
-  Rng rng(13);
-  const auto split = split_holdout(data.ratings, 0.2, rng);
-  HybridOptions options;
-  options.als = als_options();
-  options.batch_epochs = 8;
-  HybridEngine hybrid(split.train, options);
-
-  const double before =
-      rmse(split.test, hybrid.user_factors(), hybrid.item_factors());
-  // Stream the held-out ratings in: test RMSE on them must improve (they
-  // are now observed), without a batch retrain.
-  for (const Rating& e : split.test.entries()) {
-    hybrid.observe(e);
-  }
-  const double after =
-      rmse(split.test, hybrid.user_factors(), hybrid.item_factors());
-  EXPECT_LT(after, before);
-}
-
-TEST(Hybrid, RebatchRecommendationAndReset) {
-  const auto data = dataset(107, 5000);
-  HybridOptions options;
-  options.als = als_options();
-  options.batch_epochs = 2;
-  options.rebatch_threshold = 0.01;  // 1% growth triggers
-  HybridEngine hybrid(data.ratings, options);
-  EXPECT_FALSE(hybrid.rebatch_recommended());
-  Rng rng(17);
-  for (int i = 0; i < 60; ++i) {  // 60/5000 > 1%
-    hybrid.observe(Rating{static_cast<index_t>(rng.uniform_index(300)),
-                          static_cast<index_t>(rng.uniform_index(120)),
-                          3.0f});
-  }
-  EXPECT_TRUE(hybrid.rebatch_recommended());
-  EXPECT_EQ(hybrid.batch_phases_run(), 1);
-  hybrid.rebatch();
-  EXPECT_EQ(hybrid.batch_phases_run(), 2);
-  EXPECT_FALSE(hybrid.rebatch_recommended());
-}
-
-TEST(Hybrid, RejectsOutOfShapeStream) {
-  const auto data = dataset(109, 5000);
-  HybridOptions options;
-  options.als = als_options();
-  options.batch_epochs = 1;
-  HybridEngine hybrid(data.ratings, options);
-  EXPECT_THROW(hybrid.observe(Rating{999, 0, 1.0f}), CheckError);
 }
 
 // ---------- FP16 staging / Tensor Cores / Volta ----------

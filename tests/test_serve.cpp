@@ -1,7 +1,7 @@
 // Tests for the serving layer: batched scoring bit-identity, sharded
 // heap-merge equivalence with the offline brute force, the hot-user factor
-// cache, histogram percentiles, model-IO round-trip precision, the hybrid
-// stream shape guard, and fold-in determinism.
+// cache, histogram percentiles, model-IO round-trip precision, and fold-in
+// determinism and quality.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -15,14 +15,17 @@
 
 #include "common/check.hpp"
 #include "common/rng.hpp"
-#include "core/hybrid.hpp"
+#include "core/als.hpp"
+#include "data/generator.hpp"
 #include "data/model_io.hpp"
 #include "linalg/dense.hpp"
+#include "metrics/rmse.hpp"
 #include "metrics/ranking.hpp"
 #include "prof/counters.hpp"
 #include "serve/serve.hpp"
 #include "sparse/coo.hpp"
 #include "sparse/csr.hpp"
+#include "sparse/split.hpp"
 
 namespace cumf {
 namespace {
@@ -317,33 +320,78 @@ TEST(ModelIo, NanSurvivesAsNan) {
   std::filesystem::remove(path);
 }
 
-// ---------- hybrid stream shape guard ----------
+// ---------- fold-in ----------
 
-TEST(Hybrid, StreamShapeErrorNamesTheRatingAndRoutesToFoldIn) {
-  Rng rng(61);
-  RatingsCoo coo(20, 10);
-  for (int i = 0; i < 120; ++i) {
-    coo.add(static_cast<index_t>(rng.uniform_index(20)),
-            static_cast<index_t>(rng.uniform_index(10)),
-            static_cast<real_t>(1 + rng.uniform_index(5)));
+/// A small planted low-rank dataset trained by batch ALS (8 epochs, f=16),
+/// served with the training λ and solver.
+struct TrainedService {
+  TrainTestSplit split;
+  Matrix theta;
+  serve::ServeEngine engine;
+};
+
+TrainedService train_and_serve(std::uint64_t seed, nnz_t nnz) {
+  SyntheticConfig cfg;
+  cfg.m = 300;
+  cfg.n = 120;
+  cfg.nnz = nnz;
+  cfg.true_rank = 4;
+  cfg.mean = 3.5;
+  cfg.signal_std = 0.7;
+  cfg.noise_std = 0.25;
+  cfg.seed = seed;
+  const auto data = generate_synthetic(cfg);
+  Rng rng(13);
+  TrainTestSplit split = split_holdout(data.ratings, 0.2, rng);
+  AlsOptions als_options;
+  als_options.f = 16;
+  als_options.lambda = 0.05f;
+  AlsEngine als(split.train, als_options);
+  for (int epoch = 0; epoch < 8; ++epoch) {
+    als.run_epoch();
   }
-  coo.sort_and_dedup();
-  HybridOptions options;
-  options.batch_epochs = 1;
-  HybridEngine hybrid(coo, options);
-  try {
-    hybrid.observe(Rating{99, 3, 1.0f});
-    FAIL() << "expected StreamShapeError";
-  } catch (const StreamShapeError& e) {
-    EXPECT_EQ(e.rating().u, 99u);
-    EXPECT_EQ(e.rating().v, 3u);
-    EXPECT_NE(std::string(e.what()).find("fold"), std::string::npos);
-  }
-  // Still a CheckError, so existing catch sites keep working.
-  EXPECT_THROW(hybrid.observe(Rating{0, 99, 1.0f}), CheckError);
+  serve::ServeOptions options;
+  options.lambda = als_options.lambda;
+  options.solver = als_options.solver;
+  CsrMatrix seen = CsrMatrix::from_coo(split.train);
+  const Matrix& theta = als.item_factors();
+  // ServeEngine is not movable: build it in place in the returned struct.
+  return TrainedService{
+      std::move(split), theta,
+      serve::ServeEngine(FactorModel{als.user_factors(), theta},
+                         std::move(seen), options)};
 }
 
-// ---------- fold-in ----------
+TEST(Serve, StreamedHeldOutRatingsImproveTheirRmse) {
+  auto s = train_and_serve(103, 8000);
+  const double before =
+      rmse(s.split.test, serve::served_user_factors(s.engine), s.theta);
+  // Stream the held-out ratings in: they are now observed, so the fold-ins
+  // must fit them better, with Θ frozen and no batch retrain.
+  for (const Rating& e : s.split.test.entries()) {
+    s.engine.observe(e);
+  }
+  const double after =
+      rmse(s.split.test, serve::served_user_factors(s.engine), s.theta);
+  EXPECT_LT(after, before);
+  EXPECT_EQ(s.engine.solve_stats().systems, s.split.test.nnz());
+  EXPECT_EQ(s.engine.solve_stats().failures, 0u);
+}
+
+TEST(Serve, ObservedRatingPullsItsPredictionTowardIt) {
+  auto s = train_and_serve(101, 6000);
+  // A rating that contradicts the planted model: the fold-in must move
+  // the user's prediction for that item toward it.
+  const Rating streamed{5, 7, 5.0f};
+  const auto predicted = [&] {
+    const std::vector<real_t> x = s.engine.user_factor(streamed.u);
+    return dot(std::span<const real_t>(x), s.theta.row(streamed.v));
+  };
+  const double before = predicted();
+  s.engine.observe(streamed);
+  const double after = predicted();
+  EXPECT_LT(std::abs(5.0 - after), std::abs(5.0 - before));
+}
 
 TEST(Serve, FoldInIsDeterministicAndChangesResponses) {
   const auto seen = random_seen(25, 80, 10, 71);
